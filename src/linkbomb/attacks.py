@@ -121,17 +121,9 @@ def build_pattern(pattern: str, attackers, victim: int) -> AttackSpec:
 
 def apply_attack(g: DirectedMultigraph, spec: AttackSpec) -> DirectedMultigraph:
     """Replace each attacker's out-edges with the spec assignment."""
-    attacker_set = set(spec.attackers)
-    for a in attacker_set:
-        g._check_node(a)
     g._check_node(spec.victim)
-    edges = {(u, v): m for (u, v, m) in g.edges() if u not in attacker_set}
-    for a in spec.attackers:
-        for head, mult in spec.assignment.get(a, {}).items():
-            g._check_node(head)
-            key = (a, int(head))
-            edges[key] = edges.get(key, 0) + int(mult)
-    return DirectedMultigraph.from_edges(g.node_count, edges)
+    edges = {(a, head): mult for a in spec.attackers for head, mult in spec.assignment.get(a, {}).items()}
+    return g._splice(spec.attackers, edges)
 
 
 def attack_magnitude(

@@ -12,7 +12,9 @@ import csv
 import sys
 from pathlib import Path
 
-from .attacks import AttackSpec, attack_magnitude, build_pattern
+import numpy as np
+
+from .attacks import attack_magnitude, build_pattern
 from .disguise import optimal_disguised_joint, optimal_link_farm
 from .experiment import (
     pagerank_histogram,
@@ -24,7 +26,7 @@ from .experiment import (
 from .flow import FlowQuery, flow_fraction, flow_fraction_bruteforce
 from .generators import MODELS, GeneratorConfig, generate
 from .graph import load_edgelist, save_edgelist
-from .pagerank import PageRankConfig, compute_pagerank, rank_of
+from .pagerank import PageRankConfig, compute_pagerank
 
 
 def _node_list(text: str) -> list[int]:
@@ -65,7 +67,9 @@ def _cmd_gen(args):
 def _cmd_pagerank(args):
     g = load_edgelist(args.graph)
     prv = compute_pagerank(g, PageRankConfig(args.alpha, args.tol, args.max_iter))
-    rows = [(v, prv.scores[v], rank_of(prv, v)) for v in range(g.node_count)]
+    # Competition rank, as rank_of: 1 + the number of strictly higher scores.
+    ranks = 1 + len(prv.scores) - np.searchsorted(np.sort(prv.scores), prv.scores, side="right")
+    rows = zip(range(g.node_count), prv.scores, ranks)
     with _open_out(args.out) as fh:
         _csv_out(fh, ["node", "score", "rank"], rows)
 
@@ -104,13 +108,7 @@ def _cmd_disguise(args):
     g = load_edgelist(args.graph)
     cfg = PageRankConfig(args.alpha, args.tol, args.max_iter)
     plan = optimal_disguised_joint(g, _node_list(args.attackers), args.victim, args.ell, args.alpha, cfg)
-    joint = AttackSpec(
-        attackers=plan.attackers,
-        victim=args.victim,
-        assignment={a: {plan.chosen_node: 1} for a in plan.attackers},
-        pattern_tag="custom",
-    )
-    res = attack_magnitude(g, joint, cfg)
+    res = plan.result
     with _open_out(args.out) as fh:
         _csv_out(
             fh,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack, attack_magnitude
+from .attacks import AttackResult, AttackSpec, apply_attack, attack_magnitude
 from .flow import _absorbing_values
 from .graph import DirectedMultigraph
 from .pagerank import PageRankConfig
@@ -60,6 +60,7 @@ class DisguisedAttackPlan:
     chosen_node: int
     per_attacker_value: dict[int, float]
     magnitude: float
+    result: AttackResult  # before/after solves of the chosen attack
 
 
 def forward_values(
@@ -100,7 +101,7 @@ def value_of(g: DirectedMultigraph, attacker: int, u: int, victim: int, alpha: f
     u = g._check_node(u)
     if u == attacker:
         raise ValueError(f"probe edge ({attacker}, {u}) would be a self-loop")
-    probed = g.remove_out_edges(attacker).add_edge(attacker, u)
+    probed = g._splice((attacker,), {(attacker, u): 1})
     fwd = forward_values(probed, victim, alpha)
     return float(fwd.values[attacker])
 
@@ -108,9 +109,7 @@ def value_of(g: DirectedMultigraph, attacker: int, u: int, victim: int, alpha: f
 def _staged(g: DirectedMultigraph, attackers) -> DirectedMultigraph:
     """The graph the plan actually builds on: attacker out-edges are replaced
     no matter what, so planning distances and values ignore them."""
-    for a in attackers:
-        g = g.remove_out_edges(a)
-    return g
+    return g._splice(attackers)
 
 
 def _candidates_for(staged, attackers, victim, ell) -> list[int]:
@@ -163,6 +162,7 @@ def optimal_disguised_single(
         chosen_node=best_u,
         per_attacker_value={attacker: best_v},
         magnitude=result.magnitude,
+        result=result,
     )
 
 
@@ -186,7 +186,7 @@ def optimal_disguised_joint(
         raise ValueError(f"victim {victim} cannot be an attacker")
     cfg = cfg or PageRankConfig(alpha=alpha)
     cands = _candidates_for(_staged(g, attackers), attackers, victim, ell)
-    best_w, best_mag = None, -np.inf
+    best_w, best_spec, best = None, None, None
     for w in cands:
         spec = AttackSpec(
             attackers=attackers,
@@ -195,25 +195,17 @@ def optimal_disguised_joint(
             pattern_tag="custom",
         )
         res = attack_magnitude(g, spec, cfg)
-        if res.magnitude > best_mag:
-            best_w, best_mag = w, res.magnitude
-    attacked = apply_attack(
-        g,
-        AttackSpec(
-            attackers=attackers,
-            victim=victim,
-            assignment={a: {best_w: 1} for a in attackers},
-            pattern_tag="custom",
-        ),
-    )
-    fwd = forward_values(attacked, victim, alpha)
+        if best is None or res.magnitude > best.magnitude:
+            best_w, best_spec, best = w, spec, res
+    fwd = forward_values(apply_attack(g, best_spec), victim, alpha)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
         ell=ell,
         chosen_node=best_w,
         per_attacker_value={a: float(fwd.values[a]) for a in attackers},
-        magnitude=best_mag,
+        magnitude=best.magnitude,
+        result=best,
     )
 
 

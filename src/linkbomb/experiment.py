@@ -219,9 +219,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     attacker_pool = attacker_pool[attacker_pool != victim]
     attackers = tuple(_pick(rng, attacker_pool, cfg.n_attackers))
 
-    stripped = g
-    for a in attackers:
-        stripped = stripped.remove_out_edges(a)
+    stripped = g._splice(attackers)
 
     records = []
     for alpha in cfg.alphas:

@@ -125,23 +125,15 @@ def flow_fraction(
 
 
 def _has_cycle(g: DirectedMultigraph) -> bool:
-    # Kahn's algorithm on distinct edges.
-    n = g.node_count
-    indeg = [0] * n
-    out_adj = [[] for _ in range(n)]
-    for (u, v, _m) in g.edges():
-        out_adj[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for w in out_adj[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen < n
+    # Peel nodes with no in-edge left from unpeeled nodes; only nodes on or
+    # behind a cycle are never peeled.
+    r = g.forward_matrix()
+    indeg = np.bincount(r.indices, minlength=g.node_count)
+    alive = np.ones(g.node_count, dtype=bool)
+    while len(free := np.flatnonzero(alive & (indeg == 0))):
+        alive[free] = False
+        indeg -= np.bincount(r[free].indices, minlength=g.node_count)
+    return bool(alive.any())
 
 
 def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) -> FlowResult:

@@ -1,14 +1,15 @@
 """Directed multigraph with parallel edges and no self-loops.
 
-Nodes are dense integer ids 0..n-1. Parallel edges are stored as a
-multiplicity per ordered pair, which keeps degree bookkeeping O(1) and
-turns sums over parallel edges into weighted sums. Graphs are immutable
-from the caller's point of view: every edit returns a new graph, so
+Nodes are dense integer ids 0..n-1. The graph is stored as immutable,
+row-sorted CSR arrays: the out-edges of u are
+heads[indptr[u]:indptr[u + 1]] in increasing head order, and mult holds
+one multiplicity per distinct (u, v) pair, which turns sums over
+parallel edges into weighted sums. Every edit returns a new graph, so
 instances can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -24,20 +25,96 @@ __all__ = [
 ]
 
 
+def _edge_columns(n: int, pairs, mults) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 (tail, head, multiplicity) columns from Python (u, v) pairs.
+
+    Node ids must be ints or numpy integers (bools are rejected);
+    multiplicities go through int(). Range, self-loop and multiplicity
+    checks are left to _coalesce.
+    """
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError(f"edge key must be a (u, v) pair, got {next(p for p in pairs if len(p) != 2)!r}")
+    ids = list(itertools.chain.from_iterable(pairs))
+    for t in set(map(type, ids)):
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise ValueError(f"node id must be an integer, got {next(x for x in ids if type(x) is t)!r}")
+    try:
+        uv = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(f"node id out of range [0, {n})") from None
+    m = np.asarray(mults)
+    if m.dtype.kind not in "iu":
+        m = np.array([int(x) for x in mults], dtype=np.int64)
+    return uv[:, 0], uv[:, 1], m.astype(np.int64, copy=False)
+
+
+def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate edge columns and merge them into row-sorted CSR arrays.
+
+    Every edge is checked at once for node range, self-loops and
+    multiplicity >= 1; the first offending edge is reported, prefixed with
+    its input line number when `lines` gives one per edge. Repeated (u, v)
+    pairs are summed. Returns (indptr, heads, mult).
+    """
+    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | (mult < 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v, m = int(tails[i]), int(heads[i]), int(mult[i])
+        if not 0 <= u < n or not 0 <= v < n:
+            msg = f"node id {u if not 0 <= u < n else v} out of range [0, {n})"
+        elif u == v:
+            msg = f"self-loop ({u}, {v}) is not allowed"
+        else:
+            msg = f"edge multiplicity must be >= 1, got {m}"
+        raise ValueError(msg if lines is None else f"line {lines[i]}: {msg}")
+    keys, inverse = np.unique(tails * n + heads, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(summed, inverse, mult)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, summed
+
+
+def _step(indptr: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Targets of every CSR row in `frontier`, with repeats."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return targets[offsets + np.arange(len(offsets))]
+
+
+def _distances(indptr: np.ndarray, targets: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first hop counts from `start` over CSR rows (inf when unreachable)."""
+    dist = np.full(len(indptr) - 1, np.inf)
+    dist[start] = 0
+    frontier = np.array([start])
+    d = 0
+    while len(frontier):
+        d += 1
+        nxt = _step(indptr, targets, frontier)
+        frontier = np.unique(nxt[dist[nxt] == np.inf])
+        dist[frontier] = d
+    return dist
+
+
 class DirectedMultigraph:
     """Directed multigraph over nodes 0..n-1 (no self-loops)."""
 
-    __slots__ = ("_n", "_edges", "_out_deg", "_in_deg", "_cache")
+    __slots__ = ("_n", "_indptr", "_heads", "_mult", "_cache")
 
-    def __init__(self, node_count: int):
+    def __init__(self, node_count: int, _csr=None):
+        """Empty graph on node_count nodes; `_csr` (internal) passes
+        validated (indptr, heads, mult) arrays to adopt instead."""
         if not isinstance(node_count, (int, np.integer)) or isinstance(node_count, bool):
             raise ValueError(f"node count must be a positive integer, got {node_count!r}")
         if node_count < 1:
             raise ValueError(f"node count must be >= 1, got {node_count}")
         self._n = int(node_count)
-        self._edges: dict[tuple[int, int], int] = {}
-        self._out_deg: list[int] = [0] * self._n
-        self._in_deg: list[int] = [0] * self._n
+        if _csr is None:
+            _csr = (np.zeros(self._n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        for a in _csr:
+            a.flags.writeable = False
+        self._indptr, self._heads, self._mult = _csr
         self._cache: dict[str, object] = {}
 
     # ---- construction ----------------------------------------------------
@@ -49,31 +126,17 @@ class DirectedMultigraph:
         `edges` is either a mapping {(u, v): multiplicity} or an iterable
         of (u, v) / (u, v, multiplicity) tuples. Repeated pairs accumulate.
         """
-        g = cls(node_count)
+        n = cls(node_count).node_count  # validates the count
         if isinstance(edges, Mapping):
-            for (u, v), mult in edges.items():
-                g._add(u, v, mult)
+            pairs, mults = list(edges.keys()), list(edges.values())
         else:
+            edges = list(edges)
             for e in edges:
-                if len(e) == 2:
-                    g._add(e[0], e[1], 1)
-                elif len(e) == 3:
-                    g._add(e[0], e[1], e[2])
-                else:
+                if len(e) not in (2, 3):
                     raise ValueError(f"edge tuple must have 2 or 3 entries, got {e!r}")
-        return g
-
-    def _add(self, u: int, v: int, mult: int) -> None:
-        u = self._check_node(u)
-        v = self._check_node(v)
-        if u == v:
-            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
-        m = int(mult)
-        if m < 1:
-            raise ValueError(f"edge multiplicity must be >= 1, got {mult!r}")
-        self._edges[(u, v)] = self._edges.get((u, v), 0) + m
-        self._out_deg[u] += m
-        self._in_deg[v] += m
+            pairs = [(e[0], e[1]) for e in edges]
+            mults = [e[2] if len(e) == 3 else 1 for e in edges]
+        return cls(n, _coalesce(n, *_edge_columns(n, pairs, mults)))
 
     def _check_node(self, v) -> int:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -83,12 +146,24 @@ class DirectedMultigraph:
             raise ValueError(f"node id {v} out of range [0, {self._n})")
         return v
 
-    def _copy(self) -> "DirectedMultigraph":
-        g = DirectedMultigraph(self._n)
-        g._edges = dict(self._edges)
-        g._out_deg = list(self._out_deg)
-        g._in_deg = list(self._in_deg)
-        return g
+    def _splice(self, drop, edges: Mapping | None = None) -> "DirectedMultigraph":
+        """Drop every out-edge of the nodes in `drop`, then add `edges`
+        ({(u, v): multiplicity}, accumulating onto kept edges), in one rebuild."""
+        keep = np.ones(self._n, dtype=bool)
+        keep[[self._check_node(a) for a in drop]] = False
+        tails = self._tails()
+        kept = keep[tails]
+        edges = edges or {}
+        new_u, new_v, new_m = _edge_columns(self._n, list(edges.keys()), list(edges.values()))
+        return DirectedMultigraph(
+            self._n,
+            _coalesce(
+                self._n,
+                np.concatenate((tails[kept], new_u)),
+                np.concatenate((self._heads[kept], new_v)),
+                np.concatenate((self._mult[kept], new_m)),
+            ),
+        )
 
     # ---- basic queries ---------------------------------------------------
 
@@ -99,40 +174,50 @@ class DirectedMultigraph:
     @property
     def edge_count(self) -> int:
         """Total multiplicity over all edges."""
-        return sum(self._edges.values())
+        return int(self._mult.sum())
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._edges.get((self._check_node(u), self._check_node(v)), 0)
+        u = self._check_node(u)
+        v = self._check_node(v)
+        row = slice(self._indptr[u], self._indptr[u + 1])
+        return int(self._mult[row][self._heads[row] == v].sum())
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (tail, head, multiplicity) triples."""
-        for (u, v), m in self._edges.items():
-            yield u, v, m
+        """Yield (tail, head, multiplicity) triples in (tail, head) order."""
+        return zip(self._tails().tolist(), self._heads.tolist(), self._mult.tolist())
 
     def out_degree(self, u: int) -> int:
-        return self._out_deg[self._check_node(u)]
+        return int(self._degrees()[0][self._check_node(u)])
 
     def in_degree(self, v: int) -> int:
-        return self._in_deg[self._check_node(v)]
+        return int(self._degrees()[1][self._check_node(v)])
 
     def out_degrees(self) -> np.ndarray:
-        return np.asarray(self._out_deg, dtype=np.int64)
+        return self._degrees()[0].copy()
 
     def in_degrees(self) -> np.ndarray:
-        return np.asarray(self._in_deg, dtype=np.int64)
+        return self._degrees()[1].copy()
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """(head, multiplicity) pairs for edges leaving u."""
-        return self._adjacency()[0][self._check_node(u)]
+        u = self._check_node(u)
+        row = slice(self._indptr[u], self._indptr[u + 1])
+        return list(zip(self._heads[row].tolist(), self._mult[row].tolist()))
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         """(tail, multiplicity) pairs for edges entering v."""
-        return self._adjacency()[1][self._check_node(v)]
+        into = self._heads == self._check_node(v)
+        return list(zip(self._tails()[into].tolist(), self._mult[into].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedMultigraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return (
+            self._n == other._n
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._heads, other._heads)
+            and np.array_equal(self._mult, other._mult)
+        )
 
     def __repr__(self) -> str:
         return f"DirectedMultigraph(n={self._n}, edges={self.edge_count})"
@@ -140,19 +225,11 @@ class DirectedMultigraph:
     # ---- edits (return new graphs) ----------------------------------------
 
     def add_edge(self, u: int, v: int, count: int = 1) -> "DirectedMultigraph":
-        g = self._copy()
-        g._add(u, v, count)
-        return g
+        return self._splice((), {(u, v): count})
 
     def remove_out_edges(self, v: int) -> "DirectedMultigraph":
         """Drop every edge leaving v; edges into v are untouched."""
-        v = self._check_node(v)
-        g = self._copy()
-        for (u, w) in [key for key in g._edges if key[0] == v]:
-            m = g._edges.pop((u, w))
-            g._out_deg[u] -= m
-            g._in_deg[w] -= m
-        return g
+        return self._splice((v,))
 
     # ---- walks and distances ----------------------------------------------
 
@@ -166,73 +243,40 @@ class DirectedMultigraph:
         v = self._check_node(v)
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        out_adj = self._adjacency()[0]
-        frontier = {v}
+        frontier = np.array([v])
         for _ in range(k):
-            frontier = {w for u in frontier for (w, _m) in out_adj[u]}
-        return frontier
+            frontier = np.unique(_step(self._indptr, self._heads, frontier))
+        return set(frontier.tolist())
 
     def shortest_distance(self, u: int, v: int) -> float:
         """Length of the shortest directed path u -> v, or math.inf."""
-        u = self._check_node(u)
-        v = self._check_node(v)
-        if u == v:
-            return 0
-        out_adj = self._adjacency()[0]
-        seen = {u}
-        frontier = [u]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for x in frontier:
-                for (w, _m) in out_adj[x]:
-                    if w == v:
-                        return dist
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return math.inf
+        return self.distances_from(u)[self._check_node(v)]
 
     def distances_from(self, u: int) -> list[float]:
         """BFS distances from u to every node (math.inf when unreachable)."""
-        return self._bfs(u, self._adjacency()[0])
+        return _distances(self._indptr, self._heads, self._check_node(u)).tolist()
 
     def distances_to(self, v: int) -> list[float]:
         """BFS distances from every node to v, via reverse edges."""
-        return self._bfs(v, self._adjacency()[1])
+        indptr, tails, _mult = _coalesce(self._n, self._heads, self._tails(), self._mult)
+        return _distances(indptr, tails, self._check_node(v)).tolist()
 
-    def _bfs(self, start: int, adj) -> list[float]:
-        start = self._check_node(start)
-        dist: list[float] = [math.inf] * self._n
-        dist[start] = 0
-        frontier = [start]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for (w, _m) in adj[x]:
-                    if dist[w] == math.inf:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+    # ---- derived arrays and cached operators -------------------------------
 
-    # ---- cached operators ---------------------------------------------------
+    def _tails(self) -> np.ndarray:
+        """Tail of every stored edge, aligned with heads and mult."""
+        return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
 
-    def _adjacency(self):
-        adj = self._cache.get("adj")
-        if adj is None:
-            out_adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            in_adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            for (u, v), m in self._edges.items():
-                out_adj[u].append((v, m))
-                in_adj[v].append((u, m))
-            adj = (out_adj, in_adj)
-            self._cache["adj"] = adj
-        return adj
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(out-degrees, in-degrees), counting multiplicity."""
+        deg = self._cache.get("deg")
+        if deg is None:
+            deg = tuple(
+                np.bincount(ends, weights=self._mult, minlength=self._n).astype(np.int64)
+                for ends in (self._tails(), self._heads)
+            )
+            self._cache["deg"] = deg
+        return deg
 
     def forward_matrix(self) -> sp.csr_matrix:
         """Sparse operator R with R[u, w] = multiplicity(u, w) / outdeg(u).
@@ -241,14 +285,8 @@ class DirectedMultigraph:
         """
         m = self._cache.get("fwd")
         if m is None:
-            rows, cols, data = [], [], []
-            for (u, v), mult in self._edges.items():
-                rows.append(u)
-                cols.append(v)
-                data.append(mult / self._out_deg[u])
-            m = sp.csr_matrix(
-                (data, (rows, cols)), shape=(self._n, self._n), dtype=np.float64
-            )
+            data = self._mult / self._degrees()[0][self._tails()]
+            m = sp.csr_matrix((data, self._heads, self._indptr), shape=(self._n, self._n))
             self._cache["fwd"] = m
         return m
 
@@ -271,36 +309,56 @@ class DirectedMultigraph:
 
 def dumps_edgelist(g: DirectedMultigraph) -> str:
     lines = [f"# nodes {g.node_count}"]
-    for (u, v) in sorted(g._edges):
-        m = g._edges[(u, v)]
-        lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
+    lines.extend(f"{u} {v}" if m == 1 else f"{u} {v} {m}" for u, v, m in g.edges())
     return "\n".join(lines) + "\n"
 
 
 def loads_edgelist(text: str) -> DirectedMultigraph:
+    """Parse the edge-list format; every malformed line fails with its number.
+
+    A repeated "# nodes N" directive must agree with the first one.
+    """
     declared: int | None = None
-    triples: list[tuple[int, int, int]] = []
+    declared_at = 0
+    rows: list[list[int]] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "nodes":
-                declared = int(fields[1])
+        body, hashed, comment = raw.partition("#")
+        parts = body.split()
+        if not parts:
+            fields = comment.split()
+            if hashed and len(fields) == 2 and fields[0] == "nodes":
+                try:
+                    n = int(fields[1])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: node count must be an integer, got {raw!r}") from None
+                if n < 1:
+                    raise ValueError(f"line {lineno}: node count must be >= 1, got {n}")
+                if declared is not None and n != declared:
+                    raise ValueError(
+                        f"line {lineno}: '# nodes {n}' conflicts with '# nodes {declared}' on line {declared_at}"
+                    )
+                declared, declared_at = n, lineno
             continue
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        m = int(parts[2]) if len(parts) == 3 else 1
-        triples.append((u, v, m))
-    if declared is None:
-        if not triples:
-            raise ValueError("empty edge list with no '# nodes N' directive")
-        declared = max(max(u, v) for u, v, _ in triples) + 1
-    return DirectedMultigraph.from_edges(declared, triples)
+        try:
+            row = [int(x) for x in parts]
+        except ValueError:
+            raise ValueError(f"line {lineno}: fields must be integers, got {raw!r}") from None
+        if len(row) == 2:
+            row.append(1)
+        rows.append(row)
+        linenos.append(lineno)
+    if declared is None and not rows:
+        raise ValueError("empty edge list with no '# nodes N' directive")
+    try:
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if any(not -(2**63) <= x < 2**63 for x in row))
+        raise ValueError(f"line {linenos[i]}: field out of range in {rows[i]}") from None
+    n = declared if declared is not None else max(int(cols[:, :2].max()) + 1, 1)
+    return DirectedMultigraph(n, _coalesce(n, cols[:, 0], cols[:, 1], cols[:, 2], linenos))
 
 
 def save_edgelist(g: DirectedMultigraph, path) -> None:

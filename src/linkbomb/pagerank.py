@@ -167,8 +167,8 @@ def verify_sum_identity(prv: PageRankVector, g: DirectedMultigraph) -> float:
     if prv.alpha >= 1.0:
         raise ValueError("sum identity requires alpha < 1")
     scores = prv.scores
-    dangling = [v for v in range(g.node_count) if g.out_degree(v) == 0]
-    rhs = 1.0 - (prv.alpha / (1.0 - prv.alpha)) * float(scores[dangling].sum() if dangling else 0.0)
+    dangling = g.out_degrees() == 0
+    rhs = 1.0 - (prv.alpha / (1.0 - prv.alpha)) * float(scores[dangling].sum())
     return abs(float(scores.sum()) - rhs)
 
 

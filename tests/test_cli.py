@@ -13,8 +13,10 @@ from linkbomb import (
     flow_fraction,
     generate,
     load_edgelist,
+    rank_of,
     save_edgelist,
 )
+from linkbomb.cli import main
 
 
 def run_cli(*args):
@@ -129,3 +131,24 @@ def test_repeat_invocation_byte_identical(graph_file, tmp_path):
     for path in (a, b):
         run_cli("pagerank", "--graph", graph_file, "--alpha", "0.85", "--out", path)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_pagerank_rank_column_matches_rank_of_with_ties(tmp_path):
+    # Nodes 2..9 have no in-edges, so their scores tie exactly at (1 - alpha)/n.
+    g = DirectedMultigraph.from_edges(10, [(v, 0) for v in range(2, 7)] + [(9, 1), (8, 1), (1, 0)])
+    path, out = tmp_path / "ties.el", tmp_path / "ranks.csv"
+    save_edgelist(g, path)
+    assert main(["pagerank", "--graph", str(path), "--alpha", "0.85", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    prv = compute_pagerank(g, PageRankConfig(0.85))
+    assert [int(r["rank"]) for r in rows] == [rank_of(prv, v) for v in range(10)]
+    assert len({prv.scores[v] for v in range(2, 10)}) == 1
+    assert {int(r["rank"]) for r in rows[2:]} == {3}
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # scipy.sparse.csgraph adds ~11 MB of peak RSS at import time.
+    code = "import sys, linkbomb.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

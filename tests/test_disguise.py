@@ -147,6 +147,18 @@ def test_joint_beats_mixed_individual_optima():
     assert plan.magnitude > mixed_mag + 1e-6
 
 
+def test_joint_plan_carries_the_chosen_attack_result():
+    g = mixed_model_graph(5, 12)
+    attackers = (3, 7)
+    plan = optimal_disguised_joint(g, attackers, 0, 2, 0.85, CFG)
+    spec = AttackSpec(attackers=attackers, victim=0, assignment={a: {plan.chosen_node: 1} for a in attackers})
+    fresh = attack_magnitude(g, spec, CFG)
+    got = plan.result
+    assert got.magnitude == fresh.magnitude == plan.magnitude
+    assert (got.rank_before, got.rank_after) == (fresh.rank_before, fresh.rank_after)
+    assert np.array_equal(got.after.scores, fresh.after.scores)
+
+
 def test_joint_single_attacker_agrees_with_single_api():
     g = mixed_model_graph(7, 11)
     victim, attacker = 0, 5

@@ -16,6 +16,7 @@ from linkbomb import (
     length_flow,
 )
 
+from linkbomb.flow import _has_cycle
 from util import admissible_shortest_len, small_random_graph
 
 TWO_CYCLE = DirectedMultigraph.from_edges(2, [(0, 1), (1, 0)])
@@ -68,6 +69,15 @@ def test_bruteforce_alpha_one():
     res = flow_fraction_bruteforce(CHAIN, FlowQuery(0, 2, frozenset(), alpha=1.0), max_len=4)
     assert res.fraction == 1.0
     assert res.tail_bound == 0.0
+
+
+def test_cycle_detection_matches_nilpotency():
+    # A digraph on n nodes is acyclic iff its adjacency matrix is nilpotent: A^n = 0.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = small_random_graph(rng, n_min=2, n_max=7, extra_edges=0)
+        adj = (g.forward_matrix().toarray() > 0).astype(float)
+        assert _has_cycle(g) == bool(np.linalg.matrix_power(adj, g.node_count).any())
 
 
 def _random_query(rng, g):

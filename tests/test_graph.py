@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from linkbomb import DirectedMultigraph, dumps_edgelist, loads_edgelist
+from linkbomb import AttackSpec, DirectedMultigraph, apply_attack, dumps_edgelist, loads_edgelist
 
-from util import bfs_distance_oracle
+from util import (
+    ReferenceMultigraph,
+    bfs_distance_oracle,
+    reference_apply_attack,
+    reference_dumps_edgelist,
+)
 
 
 def test_new_graph_basics():
@@ -169,3 +174,141 @@ def test_edgelist_errors():
         loads_edgelist("# only comments\n")
     with pytest.raises(ValueError):
         loads_edgelist("0 0\n")  # self-loop
+
+
+# ---- CSR core against the dict-based reference -----------------------------------
+
+def _edge_triples(n):
+    if n == 1:
+        return st.just([])
+    # heads drawn from n - 1 slots and shifted past the tail: no self-loops
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.integers(1, 3))
+    return st.lists(edge.map(lambda e: (e[0], e[1] + (e[1] >= e[0]), e[2])), max_size=30)
+
+
+multigraphs = st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), _edge_triples(n)))
+
+
+def _pair(n, triples):
+    return DirectedMultigraph.from_edges(n, triples), ReferenceMultigraph.from_edges(n, triples)
+
+
+def _same_matrix(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+@given(multigraphs)
+def test_csr_core_matches_reference(graph):
+    n, triples = graph
+    g, ref = _pair(n, triples)
+    assert set(g.edges()) == set(ref.edges())
+    assert np.array_equal(g.out_degrees(), ref.out_degrees())
+    assert np.array_equal(g.in_degrees(), ref.in_degrees())
+    assert g.edge_count == ref.edge_count
+    for u in range(n):
+        assert sorted(g.out_edges(u)) == sorted(ref.out_edges(u))
+        assert sorted(g.in_edges(u)) == sorted(ref.in_edges(u))
+        for v in range(n):
+            assert g.multiplicity(u, v) == ref.multiplicity(u, v)
+    assert _same_matrix(g.forward_matrix(), ref.forward_matrix())
+    assert _same_matrix(g.transition_matrix(), ref.transition_matrix())
+    assert dumps_edgelist(g) == reference_dumps_edgelist(ref)
+
+
+@given(multigraphs, st.integers(0, 6), st.integers(0, 4))
+def test_csr_walks_match_reference(graph, v, k):
+    n, triples = graph
+    g, ref = _pair(n, triples)
+    v %= n
+    assert g.distances_to(v) == ref.distances_to(v)
+    assert g.distances_from(v) == ref.distances_from(v)
+    assert g.k_neighborhood(v, k) == ref.k_neighborhood(v, k)
+    for u in range(n):
+        assert g.shortest_distance(v, u) == ref.shortest_distance(v, u)
+
+
+@given(multigraphs, st.data())
+def test_csr_edits_match_reference(graph, data):
+    n, triples = graph
+    g, ref = _pair(n, triples)
+    for v in range(n):
+        assert set(g.remove_out_edges(v).edges()) == set(ref.remove_out_edges(v).edges())
+    if n < 2:
+        return
+    attackers = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    assignment = {
+        a: data.draw(st.dictionaries(st.integers(0, n - 1).filter(lambda h, a=a: h != a), st.integers(1, 3), max_size=3))
+        for a in attackers
+    }
+    spec = AttackSpec(attackers=tuple(attackers), victim=data.draw(st.integers(0, n - 1)), assignment=assignment)
+    attacked = apply_attack(g, spec)
+    expected = reference_apply_attack(ref, spec)
+    assert set(attacked.edges()) == set(expected.edges())
+    assert _same_matrix(attacked.transition_matrix(), expected.transition_matrix())
+
+
+BAD_EDGES = [
+    [(True, 2)],
+    [(2, False)],
+    [(0.0, 1)],
+    [(0, 1.5)],
+    [(0, "1")],
+    [(0, 3)],
+    [(-1, 0)],
+    [(0, 1), (2, 2)],
+    [(0, 1, 0)],
+    [(0, 1, -2)],
+]
+
+
+@pytest.mark.parametrize("edges", BAD_EDGES)
+@pytest.mark.parametrize("cls", [DirectedMultigraph, ReferenceMultigraph])
+def test_bad_edges_rejected_by_both(cls, edges):
+    with pytest.raises(ValueError):
+        cls.from_edges(3, edges)
+    u, v, *m = edges[-1]
+    with pytest.raises(ValueError):
+        cls(3).add_edge(u, v, *m)
+
+
+# ---- edge-list parser ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1 x\n", r"^line 2: fields must be integers"),
+        ("0 1\n1.5 2\n", r"^line 2: fields must be integers"),
+        ("# nodes 3\n0 1\n\n1 3\n", r"^line 4: node id 3 out of range"),
+        ("0 1\n-1 0\n", r"^line 2: node id -1 out of range"),
+        ("0 1\n# note\n2 2\n", r"^line 3: self-loop"),
+        ("0 1 0\n", r"^line 1: edge multiplicity"),
+        ("0 1\n1 0 -3\n", r"^line 2: edge multiplicity"),
+        ("0 1 2 3\n", r"^line 1: expected"),
+        ("# nodes many\n0 1\n", r"^line 1: node count must be an integer"),
+        ("# nodes 0\n", r"^line 1: node count must be >= 1"),
+        ("0 99999999999999999999999\n", r"^line 1: field out of range"),
+        ("# nodes 4\n0 1\n# nodes 5\n", r"^line 3: '# nodes 5' conflicts with '# nodes 4' on line 1"),
+    ],
+)
+def test_edgelist_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        loads_edgelist(text)
+
+
+def test_edgelist_repeated_agreeing_directive():
+    assert loads_edgelist("# nodes 4\n0 1\n# nodes 4\n").node_count == 4
+
+
+@given(multigraphs)
+def test_edgelist_round_trip_property(graph):
+    n, triples = graph
+    g = DirectedMultigraph.from_edges(n, triples)
+    text = dumps_edgelist(g)
+    assert loads_edgelist(text) == g
+    assert dumps_edgelist(loads_edgelist(text)) == text

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterator, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from linkbomb import DirectedMultigraph, GeneratorConfig, generate
 
@@ -122,3 +124,265 @@ def multisets(items, max_size):
     for size in range(1, max_size + 1):
         out.extend(itertools.combinations_with_replacement(items, size))
     return out
+
+
+# ---- reference implementation of the graph core --------------------------------
+
+
+class ReferenceMultigraph:
+    """The dict-based multigraph the CSR core replaced, kept as a test oracle.
+
+    Edges live in a {(u, v): multiplicity} dict with Python degree and
+    adjacency lists; every edit copies the dict.
+    """
+
+    __slots__ = ("_n", "_edges", "_out_deg", "_in_deg", "_cache")
+
+    def __init__(self, node_count: int):
+        if not isinstance(node_count, (int, np.integer)) or isinstance(node_count, bool):
+            raise ValueError(f"node count must be a positive integer, got {node_count!r}")
+        if node_count < 1:
+            raise ValueError(f"node count must be >= 1, got {node_count}")
+        self._n = int(node_count)
+        self._edges: dict[tuple[int, int], int] = {}
+        self._out_deg: list[int] = [0] * self._n
+        self._in_deg: list[int] = [0] * self._n
+        self._cache: dict[str, object] = {}
+
+    # ---- construction ----------------------------------------------------
+
+    @classmethod
+    def from_edges(cls, node_count: int, edges) -> "ReferenceMultigraph":
+        """Build a graph in one pass.
+
+        `edges` is either a mapping {(u, v): multiplicity} or an iterable
+        of (u, v) / (u, v, multiplicity) tuples. Repeated pairs accumulate.
+        """
+        g = cls(node_count)
+        if isinstance(edges, Mapping):
+            for (u, v), mult in edges.items():
+                g._add(u, v, mult)
+        else:
+            for e in edges:
+                if len(e) == 2:
+                    g._add(e[0], e[1], 1)
+                elif len(e) == 3:
+                    g._add(e[0], e[1], e[2])
+                else:
+                    raise ValueError(f"edge tuple must have 2 or 3 entries, got {e!r}")
+        return g
+
+    def _add(self, u: int, v: int, mult: int) -> None:
+        u = self._check_node(u)
+        v = self._check_node(v)
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) is not allowed")
+        m = int(mult)
+        if m < 1:
+            raise ValueError(f"edge multiplicity must be >= 1, got {mult!r}")
+        self._edges[(u, v)] = self._edges.get((u, v), 0) + m
+        self._out_deg[u] += m
+        self._in_deg[v] += m
+
+    def _check_node(self, v) -> int:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"node id must be an integer, got {v!r}")
+        v = int(v)
+        if not 0 <= v < self._n:
+            raise ValueError(f"node id {v} out of range [0, {self._n})")
+        return v
+
+    def _copy(self) -> "ReferenceMultigraph":
+        g = ReferenceMultigraph(self._n)
+        g._edges = dict(self._edges)
+        g._out_deg = list(self._out_deg)
+        g._in_deg = list(self._in_deg)
+        return g
+
+    # ---- basic queries ---------------------------------------------------
+
+    @property
+    def node_count(self) -> int:
+        return self._n
+
+    @property
+    def edge_count(self) -> int:
+        """Total multiplicity over all edges."""
+        return sum(self._edges.values())
+
+    def multiplicity(self, u: int, v: int) -> int:
+        return self._edges.get((self._check_node(u), self._check_node(v)), 0)
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Yield (tail, head, multiplicity) triples."""
+        for (u, v), m in self._edges.items():
+            yield u, v, m
+
+    def out_degree(self, u: int) -> int:
+        return self._out_deg[self._check_node(u)]
+
+    def in_degree(self, v: int) -> int:
+        return self._in_deg[self._check_node(v)]
+
+    def out_degrees(self) -> np.ndarray:
+        return np.asarray(self._out_deg, dtype=np.int64)
+
+    def in_degrees(self) -> np.ndarray:
+        return np.asarray(self._in_deg, dtype=np.int64)
+
+    def out_edges(self, u: int) -> list[tuple[int, int]]:
+        """(head, multiplicity) pairs for edges leaving u."""
+        return self._adjacency()[0][self._check_node(u)]
+
+    def in_edges(self, v: int) -> list[tuple[int, int]]:
+        """(tail, multiplicity) pairs for edges entering v."""
+        return self._adjacency()[1][self._check_node(v)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReferenceMultigraph):
+            return NotImplemented
+        return self._n == other._n and self._edges == other._edges
+
+    def __repr__(self) -> str:
+        return f"ReferenceMultigraph(n={self._n}, edges={self.edge_count})"
+
+    # ---- edits (return new graphs) ----------------------------------------
+
+    def add_edge(self, u: int, v: int, count: int = 1) -> "ReferenceMultigraph":
+        g = self._copy()
+        g._add(u, v, count)
+        return g
+
+    def remove_out_edges(self, v: int) -> "ReferenceMultigraph":
+        """Drop every edge leaving v; edges into v are untouched."""
+        v = self._check_node(v)
+        g = self._copy()
+        for (u, w) in [key for key in g._edges if key[0] == v]:
+            m = g._edges.pop((u, w))
+            g._out_deg[u] -= m
+            g._in_deg[w] -= m
+        return g
+
+    # ---- walks and distances ----------------------------------------------
+
+    def k_neighborhood(self, v: int, k: int) -> set[int]:
+        """Nodes reachable by walks of length exactly k from v.
+
+        The 0-neighborhood is {v}; the k-neighborhood is the set of heads
+        of edges whose tails lie in the (k-1)-neighborhood, so v can be a
+        member of its own k-neighborhood for k > 1.
+        """
+        v = self._check_node(v)
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        out_adj = self._adjacency()[0]
+        frontier = {v}
+        for _ in range(k):
+            frontier = {w for u in frontier for (w, _m) in out_adj[u]}
+        return frontier
+
+    def shortest_distance(self, u: int, v: int) -> float:
+        """Length of the shortest directed path u -> v, or math.inf."""
+        u = self._check_node(u)
+        v = self._check_node(v)
+        if u == v:
+            return 0
+        out_adj = self._adjacency()[0]
+        seen = {u}
+        frontier = [u]
+        dist = 0
+        while frontier:
+            dist += 1
+            nxt = []
+            for x in frontier:
+                for (w, _m) in out_adj[x]:
+                    if w == v:
+                        return dist
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        return math.inf
+
+    def distances_from(self, u: int) -> list[float]:
+        """BFS distances from u to every node (math.inf when unreachable)."""
+        return self._bfs(u, self._adjacency()[0])
+
+    def distances_to(self, v: int) -> list[float]:
+        """BFS distances from every node to v, via reverse edges."""
+        return self._bfs(v, self._adjacency()[1])
+
+    def _bfs(self, start: int, adj) -> list[float]:
+        start = self._check_node(start)
+        dist: list[float] = [math.inf] * self._n
+        dist[start] = 0
+        frontier = [start]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for (w, _m) in adj[x]:
+                    if dist[w] == math.inf:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        return dist
+
+    # ---- cached operators ---------------------------------------------------
+
+    def _adjacency(self):
+        adj = self._cache.get("adj")
+        if adj is None:
+            out_adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+            in_adj: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+            for (u, v), m in self._edges.items():
+                out_adj[u].append((v, m))
+                in_adj[v].append((u, m))
+            adj = (out_adj, in_adj)
+            self._cache["adj"] = adj
+        return adj
+
+    def forward_matrix(self) -> sp.csr_matrix:
+        """Sparse operator R with R[u, w] = multiplicity(u, w) / outdeg(u).
+
+        Rows of dangling nodes are zero; every other row sums to 1.
+        """
+        m = self._cache.get("fwd")
+        if m is None:
+            rows, cols, data = [], [], []
+            for (u, v), mult in self._edges.items():
+                rows.append(u)
+                cols.append(v)
+                data.append(mult / self._out_deg[u])
+            m = sp.csr_matrix(
+                (data, (rows, cols)), shape=(self._n, self._n), dtype=np.float64
+            )
+            self._cache["fwd"] = m
+        return m
+
+    def transition_matrix(self) -> sp.csr_matrix:
+        """Transpose of forward_matrix: (M @ p)[i] sums p_j * mult(j,i)/outdeg(j)."""
+        m = self._cache.get("trans")
+        if m is None:
+            m = self.forward_matrix().T.tocsr()
+            self._cache["trans"] = m
+        return m
+
+
+def reference_apply_attack(g: ReferenceMultigraph, spec) -> ReferenceMultigraph:
+    """Replace each attacker's out-edges with the spec assignment, one dict copy at a time."""
+    for a in spec.attackers:
+        g = g.remove_out_edges(a)
+    for a in spec.attackers:
+        for head, mult in spec.assignment.get(a, {}).items():
+            g = g.add_edge(a, head, mult)
+    return g
+
+
+def reference_dumps_edgelist(g: ReferenceMultigraph) -> str:
+    lines = [f"# nodes {g.node_count}"]
+    for (u, v) in sorted(g._edges):
+        m = g._edges[(u, v)]
+        lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
+    return "\n".join(lines) + "\n"
