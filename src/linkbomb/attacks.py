@@ -130,16 +130,23 @@ def attack_magnitude(
     g: DirectedMultigraph, spec: AttackSpec, cfg: PageRankConfig = PageRankConfig()
 ) -> AttackResult:
     """Solve before and after the attack and report the victim's change."""
-    before = compute_pagerank(g, cfg)
-    after = compute_pagerank(apply_attack(g, spec), cfg)
-    vb = float(before.scores[spec.victim])
-    va = float(after.scores[spec.victim])
+    return _measure(compute_pagerank(g, cfg), apply_attack(g, spec), spec.victim, cfg)
+
+
+def _measure(
+    before: PageRankVector, attacked: DirectedMultigraph, victim: int, cfg: PageRankConfig
+) -> AttackResult:
+    """Solve the attacked graph and compare the victim against a baseline
+    solved once by the caller, so scans over many attacks share it."""
+    after = compute_pagerank(attacked, cfg)
+    vb = float(before.scores[victim])
+    va = float(after.scores[victim])
     return AttackResult(
         victim_before=vb,
         victim_after=va,
         magnitude=va - vb,
-        rank_before=rank_of(before, spec.victim),
-        rank_after=rank_of(after, spec.victim),
+        rank_before=rank_of(before, victim),
+        rank_after=rank_of(after, victim),
         before=before,
         after=after,
     )

@@ -7,8 +7,21 @@ u's score that reaches the victim along walks with the victim as
 terminal but never intermediate node. The best single-attacker move is
 one link to the forward-value maximizer among nodes at distance exactly
 ell - 1, and there is always a joint optimum where every attacker points
-at the same such node — which is found by scanning the candidate shell
-with full solves.
+at the same such node w.
+
+With the attackers' out-edges stripped (graph S, forward matrix R),
+pointing all of them at w is a rank-one change to I - alpha R, so two
+absorbing solves on S score every candidate at once (Sherman-Morrison):
+
+    V(w) = c / (1 - gamma) * (sum f + alpha f(w) sum y / (1 - alpha y(w)))
+
+with c = (1 - alpha) / n, f the forward values toward the victim, gamma =
+alpha (R f)[victim] its cycle flow and y = (I - alpha R)^-1 1_A the
+absorbing values with every attacker pinned to 1. Only the candidates
+whose V lies within the solvers' certified error of the best (the tie
+band) get a full pagerank solve, and the lowest id wins among equal
+magnitudes, so the chosen attack is the one a full solve per candidate
+would pick.
 
 A link farm is the ell = 1 self-disguised case: all farm members point
 at the target, and the target (which controls its own links, but cannot
@@ -20,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackResult, AttackSpec, apply_attack, attack_magnitude
+from .attacks import AttackResult, AttackSpec, _measure, apply_attack, attack_magnitude
 from .flow import _absorbing_values
 from .graph import DirectedMultigraph
-from .pagerank import PageRankConfig
+from .pagerank import PageRankConfig, compute_pagerank
 
 __all__ = [
     "ForwardValueMap",
@@ -63,17 +76,21 @@ class DisguisedAttackPlan:
     result: AttackResult  # before/after solves of the chosen attack
 
 
+_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 100_000
+
+
 def forward_values(
     g: DirectedMultigraph,
     target: int,
     alpha: float,
-    tolerance: float = 1e-12,
-    max_iterations: int = 100_000,
+    tolerance: float = _TOLERANCE,
+    max_iterations: int = _MAX_ITERATIONS,
 ) -> ForwardValueMap:
     target = g._check_node(target)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    h, resid, _it = _absorbing_values(g, target, frozenset(), alpha, tolerance, max_iterations)
+    h, resid, _it = _absorbing_values(g, (target,), frozenset(), alpha, tolerance, max_iterations)
     return ForwardValueMap(target=target, values=h, alpha=alpha, residual=resid)
 
 
@@ -125,6 +142,15 @@ def _candidates_for(staged, attackers, victim, ell) -> list[int]:
     return out
 
 
+def _config(alpha: float, cfg: PageRankConfig | None) -> PageRankConfig:
+    """The solver config; one that names a different alpha is an error."""
+    if cfg is None:
+        return PageRankConfig(alpha=alpha)
+    if cfg.alpha != alpha:
+        raise ValueError(f"alpha {alpha} disagrees with cfg.alpha {cfg.alpha}")
+    return cfg
+
+
 def optimal_disguised_single(
     g: DirectedMultigraph,
     attacker: int,
@@ -138,10 +164,11 @@ def optimal_disguised_single(
     Scans the distance ell - 1 shell for the forward-value maximizer
     (lowest id on ties); scanning farther shells can never do better.
     With ell = 1 the shell is just the victim and the plan degenerates to
-    the direct individual attack.
+    the direct individual attack. `cfg.alpha` must equal `alpha`.
     """
     if attacker == victim:
         raise ValueError("attacker and victim must differ")
+    cfg = _config(alpha, cfg)
     cands = _candidates_for(_staged(g, (attacker,)), (attacker,), victim, ell)
     best_u, best_v = None, -1.0
     for u in cands:
@@ -154,7 +181,7 @@ def optimal_disguised_single(
         assignment={attacker: {best_u: 1}},
         pattern_tag="custom",
     )
-    result = attack_magnitude(g, spec, cfg or PageRankConfig(alpha=alpha))
+    result = attack_magnitude(g, spec, cfg)
     return DisguisedAttackPlan(
         attackers=(attacker,),
         victim=victim,
@@ -164,6 +191,52 @@ def optimal_disguised_single(
         magnitude=result.magnitude,
         result=result,
     )
+
+
+def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig):
+    """V(w) for each candidate w (see the module docstring) and a bound on
+    |V(w) - victim score of the full pagerank solve of that attack|.
+
+    V increases in each of its inputs, so it is evaluated with every input
+    at the low and at the high end of its certified error: residual / (1 -
+    alpha) in max norm for f and y. The full solve adds its L1 error n *
+    tolerance / (1 - alpha), and n * eps covers rounding. Needs alpha < 1.
+    """
+    n, alpha = staged.node_count, cfg.alpha
+    eps = np.finfo(float).eps
+    fwd = forward_values(staged, victim, alpha)
+    y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, _TOLERANCE, _MAX_ITERATIONS)
+    f = fwd.values
+    err_f = (fwd.residual + n * eps) / (1.0 - alpha)
+    err_y = (y_resid + n * eps) / (1.0 - alpha)
+    gamma = alpha * float((staged.forward_matrix() @ f)[victim])
+    # Rows: low end, computed value, high end. Exact values obey f <= 1,
+    # gamma <= alpha and y(w) <= alpha off the attackers, which keeps both
+    # denominators at least 1 - alpha.
+    side = np.array([[-1.0], [0.0], [1.0]])
+    w = np.asarray(cands, dtype=np.intp)
+    f_w = np.clip(f[w] + side * err_f, 0.0, 1.0)
+    y_w = np.clip(y[w] + side * err_y, 0.0, alpha)
+    gamma = np.clip(gamma + side * alpha * err_f, 0.0, alpha)
+    sum_f = np.maximum(f.sum() + side * n * err_f, 0.0)
+    sum_y = np.maximum(y.sum() + side * n * err_y, 0.0)
+    lo, mid, hi = (1.0 - alpha) / n / (1.0 - gamma) * (sum_f + alpha * f_w * sum_y / (1.0 - alpha * y_w))
+    full_solve = n * (cfg.tolerance + eps) / (1.0 - alpha)
+    return mid, np.maximum(hi - mid, mid - lo) + full_solve + n * eps * hi
+
+
+def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig) -> list[int]:
+    """The candidates whose full solve may still win the scan.
+
+    A candidate is dropped only when its score's upper bound lies below some
+    candidate's lower bound, so its full-solve magnitude would be strictly
+    smaller. At alpha = 1 there is no bound and the band is the whole shell.
+    """
+    if cfg.alpha >= 1.0:
+        return list(cands)
+    score, bound = _shell_scores(staged, attackers, victim, cands, cfg)
+    keep = score + bound >= np.max(score - bound)
+    return [w for w, k in zip(cands, keep) if k]
 
 
 def optimal_disguised_joint(
@@ -178,26 +251,34 @@ def optimal_disguised_joint(
 
     Individually optimal nodes can differ between attackers, yet some
     single shared node always does at least as well as any mix of
-    per-attacker single links, so a full solve per candidate (at most one
-    per node in the shell) finds a joint optimum.
+    per-attacker single links. The whole shell is scored in closed form
+    from two absorbing solves (see the module docstring); the baseline is
+    solved once, and only the tie band -- candidates within the certified
+    error of the best -- gets a full solve of the attacked graph. The
+    largest full-solve magnitude wins, the lowest id among equals, exactly
+    as a full solve per candidate would choose. `cfg.alpha` must equal
+    `alpha`.
     """
     attackers = tuple(int(a) for a in attackers)
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
-    cfg = cfg or PageRankConfig(alpha=alpha)
-    cands = _candidates_for(_staged(g, attackers), attackers, victim, ell)
-    best_w, best_spec, best = None, None, None
-    for w in cands:
+    cfg = _config(alpha, cfg)
+    staged = _staged(g, attackers)
+    cands = _candidates_for(staged, attackers, victim, ell)
+    before = compute_pagerank(g, cfg)
+    best_w, best_graph, best = None, None, None
+    for w in _tie_band(staged, attackers, victim, cands, cfg):
         spec = AttackSpec(
             attackers=attackers,
             victim=victim,
             assignment={a: {w: 1} for a in attackers},
             pattern_tag="custom",
         )
-        res = attack_magnitude(g, spec, cfg)
+        attacked = apply_attack(g, spec)
+        res = _measure(before, attacked, victim, cfg)
         if best is None or res.magnitude > best.magnitude:
-            best_w, best_spec, best = w, spec, res
-    fwd = forward_values(apply_attack(g, best_spec), victim, alpha)
+            best_w, best_graph, best = w, attacked, res
+    fwd = forward_values(best_graph, victim, alpha)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
@@ -225,7 +306,9 @@ def optimal_link_farm(
     itself (self-loops are impossible); ties go to the lowest id. After
     the direct attack the farm members all sit at the best achievable
     return, so the chosen node is a farm member unless an outsider ties.
+    `cfg.alpha` must equal `alpha`.
     """
+    _config(alpha, cfg)
     farm = tuple(int(v) for v in farm_nodes)
     if len(set(farm)) != len(farm):
         raise ValueError(f"farm nodes must be distinct, got {farm}")

@@ -62,7 +62,7 @@ class FlowResult:
 
 def _absorbing_values(
     g: DirectedMultigraph,
-    target: int,
+    pinned,
     zero_nodes,
     alpha: float,
     tolerance: float,
@@ -70,22 +70,27 @@ def _absorbing_values(
 ):
     """Fixed point of h(u) = alpha/outdeg(u) * sum mult(u,w) h(w).
 
-    h(target) is pinned to 1 and h(x) to 0 for x in zero_nodes - {target};
-    dangling nodes keep h = 0. Returns (h, residual, iterations) where the
-    residual is the certified max-norm defect of the returned vector. The
-    update is a max-norm contraction with factor alpha, so alpha < 1
-    always converges; alpha = 1 converges only when the relevant walk
-    families are finite.
+    h is pinned to 1 on every node in `pinned` (a sequence of node ids) and
+    to 0 on zero_nodes minus the pinned ones; dangling nodes keep h = 0.
+    One pinned node gives the first-arrival flow into it. Pinning a set of
+    dangling nodes gives the summed resolvent columns (I - alpha R)^-1 1_A,
+    since a walk stops at the first of them it reaches. Returns (h,
+    residual, iterations) where the residual is the certified max-norm
+    defect of the returned vector. The update is a max-norm contraction
+    with factor alpha, so alpha < 1 always converges and the max-norm error
+    is at most residual / (1 - alpha); alpha = 1 converges only when the
+    relevant walk families are finite.
     """
     n = g.node_count
     r = g.forward_matrix()
-    zeros = np.array(sorted(set(zero_nodes) - {target}), dtype=np.intp)
+    pinned = np.asarray(pinned, dtype=np.intp)
+    zeros = np.setdiff1d(np.fromiter(zero_nodes, dtype=np.intp), pinned)
     h = np.zeros(n)
-    h[target] = 1.0
+    h[pinned] = 1.0
     resid = np.inf
     for it in range(1, max_iterations + 1):
         nxt = alpha * (r @ h)
-        nxt[target] = 1.0
+        nxt[pinned] = 1.0
         if len(zeros):
             nxt[zeros] = 0.0
         resid = float(np.max(np.abs(nxt - h)))
@@ -115,7 +120,7 @@ def flow_fraction(
     target = g._check_node(q.target)
     for x in q.excluded:
         g._check_node(x)
-    h, _resid, _it = _absorbing_values(g, target, q.excluded, q.alpha, tolerance, max_iterations)
+    h, _resid, _it = _absorbing_values(g, (target,), q.excluded, q.alpha, tolerance, max_iterations)
     od = g.out_degree(source)
     if od == 0:
         frac = 0.0

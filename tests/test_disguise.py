@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import linkbomb.attacks
+import linkbomb.disguise
 from linkbomb import (
     AttackSpec,
+    ConvergenceError,
     DirectedMultigraph,
     PageRankConfig,
     attack_magnitude,
@@ -17,7 +22,14 @@ from linkbomb import (
     value_of,
 )
 
-from util import mixed_model_graph
+from linkbomb.disguise import _candidates_for, _shell_scores, _staged, _tie_band
+
+from util import (
+    mirrored_disguise_graph,
+    mixed_model_graph,
+    reference_optimal_disguised_joint,
+    small_random_graph,
+)
 
 CFG = PageRankConfig(alpha=0.85)
 
@@ -201,6 +213,129 @@ def test_joint_dominates_mixed_assignments():
                 assert plan.magnitude >= attack_magnitude(g, spec, cfg).magnitude - 1e-10
         checked += 1
     assert checked >= 10
+
+
+def _joint_case(seed, k, mirrored):
+    rng = np.random.default_rng(seed)
+    if mirrored:
+        half = small_random_graph(rng, n_min=3, n_max=7)
+        return mirrored_disguise_graph(half, k, rng)
+    g = mixed_model_graph(seed, 14 + seed % 17)
+    picks = rng.choice(g.node_count, size=k + 1, replace=False)
+    return g, int(picks[0]), tuple(int(a) for a in picks[1:])
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    alpha=st.sampled_from([0.0, 0.5, 0.85, 0.95, 1.0]),
+    ell=st.integers(1, 3),
+    k=st.integers(1, 3),
+    mirrored=st.booleans(),
+    tolerance=st.sampled_from([1e-12, 1e-4]),
+)
+def test_joint_scan_equals_full_solve_reference(seed, alpha, ell, k, mirrored, tolerance):
+    # a loose tolerance leaves the full solves far from exact, and the band
+    # must widen to match the scan that trusts them
+    g, victim, attackers = _joint_case(seed, k, mirrored)
+    cfg = PageRankConfig(alpha=alpha, tolerance=tolerance)
+    try:
+        ref = reference_optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg)
+    except (ValueError, ConvergenceError) as exc:
+        with pytest.raises(type(exc)):
+            optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg)
+        return
+    plan = optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg)
+    assert plan.chosen_node == ref.chosen_node
+    assert plan.magnitude == ref.magnitude
+    assert (plan.result.rank_before, plan.result.rank_after) == (ref.result.rank_before, ref.result.rank_after)
+    assert np.array_equal(plan.result.after.scores, ref.result.after.scores)
+    assert np.array_equal(plan.result.before.scores, ref.result.before.scores)
+    assert plan.per_attacker_value == ref.per_attacker_value
+
+
+def test_mirrored_ties_stay_in_the_band():
+    # mirror candidates have equal exact scores, so the band keeps both and
+    # the full solves decide between them exactly as the full scan does
+    checked = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        g, victim, attackers = mirrored_disguise_graph(small_random_graph(rng, 4, 8), 2, rng)
+        mirror = g.node_count - 4  # twin(u) = 2n - 1 - u with n = (node_count - 3) / 2
+        staged = _staged(g, attackers)
+        try:
+            cands = _candidates_for(staged, attackers, victim, 3)
+        except ValueError:
+            continue
+        band = _tie_band(staged, attackers, victim, cands, CFG)
+        ref = reference_optimal_disguised_joint(g, attackers, victim, 3, 0.85, CFG)
+        w = ref.chosen_node
+        assert {w, mirror - w} <= set(band)
+        assert optimal_disguised_joint(g, attackers, victim, 3, 0.85, CFG).chosen_node == w
+        checked += 1
+    assert checked >= 10
+
+
+def test_shell_scores_within_certified_bound():
+    checked = 0
+    for seed in range(8):
+        g = mixed_model_graph(seed, 40 + seed)
+        rng = np.random.default_rng(seed)
+        for alpha, ell in itertools.product((0.0, 0.5, 0.85, 0.95), (1, 2, 3)):
+            cfg = PageRankConfig(alpha=alpha)
+            picks = rng.choice(g.node_count, size=2 + (seed + ell) % 3, replace=False)
+            victim, attackers = int(picks[0]), tuple(int(a) for a in picks[1:])
+            staged = _staged(g, attackers)
+            try:
+                cands = _candidates_for(staged, attackers, victim, ell)
+            except ValueError:
+                continue
+            score, bound = _shell_scores(staged, attackers, victim, cands, cfg)
+            for w, s, b in zip(cands, score, bound):
+                spec = AttackSpec(attackers, victim, {a: {w: 1} for a in attackers})
+                assert abs(s - attack_magnitude(g, spec, cfg).victim_after) <= b
+                checked += 1
+    assert checked >= 100
+
+
+def test_joint_full_solves_only_the_tie_band(monkeypatch):
+    solves = []
+    real = linkbomb.attacks.compute_pagerank
+
+    def counting(g, cfg):
+        solves.append(g)
+        return real(g, cfg)
+
+    monkeypatch.setattr(linkbomb.attacks, "compute_pagerank", counting)
+    monkeypatch.setattr(linkbomb.disguise, "compute_pagerank", counting)
+    unique = 0
+    for seed in range(12):
+        g = mixed_model_graph(seed, 200)
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(g.node_count, size=3, replace=False)
+        victim, attackers = int(picks[0]), tuple(int(a) for a in picks[1:])
+        staged = _staged(g, attackers)
+        try:
+            cands = _candidates_for(staged, attackers, victim, 2)
+        except ValueError:
+            continue
+        band = _tie_band(staged, attackers, victim, cands, CFG)
+        solves.clear()
+        optimal_disguised_joint(g, attackers, victim, 2, 0.85, CFG)
+        assert len(solves) == 1 + len(band)
+        if len(cands) >= 3 and len(band) == 1:
+            unique += 1
+    assert unique >= 3
+
+
+def test_alpha_must_match_config():
+    g = mixed_model_graph(5, 12)
+    cfg = PageRankConfig(alpha=0.5)
+    with pytest.raises(ValueError, match="disagrees"):
+        optimal_disguised_joint(g, (3, 7), 0, 2, 0.85, cfg)
+    with pytest.raises(ValueError, match="disagrees"):
+        optimal_disguised_single(g, 3, 0, 2, 0.85, cfg)
+    with pytest.raises(ValueError, match="disagrees"):
+        optimal_link_farm(g, (1, 2, 3), 2, 0.85, cfg)
 
 
 def test_link_farm_isolated():

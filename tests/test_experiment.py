@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,7 +19,7 @@ from linkbomb import (
     run_experiment,
     run_trial,
 )
-from linkbomb.experiment import summarize, write_summary_csv, write_trials_csv
+from linkbomb.experiment import read_experiment_config, summarize, write_summary_csv, write_trials_csv
 
 
 def isolated_cfg(alpha=0.85):
@@ -199,6 +202,24 @@ def test_config_parsing_round_trip():
     assert cfg.attacker_selection == SelectionRule("quantile", 0.5, 1.0)
     assert cfg.victim_selection == SelectionRule()
     assert cfg.master_seed == 7
+
+
+def test_sweep_configs_parse():
+    # the checked-in density / prominence / alpha sweeps for `linkbomb experiment`
+    base = ExperimentConfig(generator=GeneratorConfig("random", 200, p=0.01), alphas=(0.85,), trials=20)
+    bands = (("0.0", "0.3"), ("0.35", "0.65"), ("0.7", "1.0"))
+    want = {f"density_p{p}": dataclasses.replace(base, generator=GeneratorConfig("random", 200, p=float(p)))
+            for p in ("0.01", "0.03", "0.08")}
+    for lo, hi in bands:
+        rule = SelectionRule("quantile", float(lo), float(hi))
+        want[f"attacker_band_{lo}_{hi}"] = dataclasses.replace(base, attacker_selection=rule)
+        want[f"victim_band_{lo}_{hi}"] = dataclasses.replace(base, victim_selection=rule)
+    want["alpha_sweep_mwdta"] = dataclasses.replace(
+        base, generator=GeneratorConfig("mwdta", 200, target_expected_edges=800.0), alphas=(0.5, 0.85, 0.95)
+    )
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    got = {path.stem: read_experiment_config(path) for path in configs.glob("*.cfg")}
+    assert got == want
 
 
 def test_config_parsing_errors():

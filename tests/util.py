@@ -8,7 +8,17 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from linkbomb import DirectedMultigraph, GeneratorConfig, generate
+from linkbomb import (
+    AttackSpec,
+    DirectedMultigraph,
+    GeneratorConfig,
+    PageRankConfig,
+    apply_attack,
+    attack_magnitude,
+    forward_values,
+    generate,
+)
+from linkbomb.disguise import DisguisedAttackPlan, _candidates_for, _staged
 
 
 def small_random_graph(rng, n_min=3, n_max=8, extra_edges=3, multiplicity=2) -> DirectedMultigraph:
@@ -386,3 +396,62 @@ def reference_dumps_edgelist(g: ReferenceMultigraph) -> str:
         m = g._edges[(u, v)]
         lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
     return "\n".join(lines) + "\n"
+
+
+def reference_optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg=None) -> DisguisedAttackPlan:
+    """The full-solve joint disguise scan: one `attack_magnitude` (baseline
+    and attacked solve) per shell candidate in ascending id, strict `>`."""
+    attackers = tuple(int(a) for a in attackers)
+    cfg = cfg or PageRankConfig(alpha=alpha)
+    cands = _candidates_for(_staged(g, attackers), attackers, victim, ell)
+    best_w, best_spec, best = None, None, None
+    for w in cands:
+        spec = AttackSpec(attackers=attackers, victim=victim, assignment={a: {w: 1} for a in attackers})
+        res = attack_magnitude(g, spec, cfg)
+        if best is None or res.magnitude > best.magnitude:
+            best_w, best_spec, best = w, spec, res
+    fwd = forward_values(apply_attack(g, best_spec), victim, alpha)
+    return DisguisedAttackPlan(
+        attackers=attackers,
+        victim=victim,
+        ell=ell,
+        chosen_node=best_w,
+        per_attacker_value={a: float(fwd.values[a]) for a in attackers},
+        magnitude=best.magnitude,
+        result=best,
+    )
+
+
+def mirrored_disguise_graph(half: DirectedMultigraph, k: int, rng) -> tuple[DirectedMultigraph, int, tuple[int, ...]]:
+    """Two copies of `half` joined through a shared victim and k attackers.
+
+    Copy one keeps ids 0..n-1 and node u of copy two is 2n-1-u; the victim
+    is 2n and the attackers follow it. Every edge touching the victim or an
+    attacker is added to both copies, so swapping the copies is an
+    automorphism fixing the victim and each attacker: mirror candidates tie
+    exactly. Copy two's ids run backwards, so solvers sum the twins' terms
+    in different orders and their computed scores may differ in the last
+    bits. Returns (graph, victim, attackers).
+    """
+    n = half.node_count
+    victim = 2 * n
+    attackers = tuple(range(2 * n + 1, 2 * n + 1 + k))
+
+    def twin(u):
+        return u if u >= 2 * n else 2 * n - 1 - u
+
+    edges: dict[tuple[int, int], int] = {}
+
+    def add(u, v, m=1):
+        edges[(u, v)] = edges[(twin(u), twin(v))] = m
+
+    for u, v, m in half.edges():
+        add(u, v, m)
+    picks = [int(x) for x in rng.integers(0, n, size=3 + 2 * k)]
+    for x in picks[:2]:
+        add(x, victim)
+    add(victim, picks[2])
+    for a, z, t in zip(attackers, picks[3::2], picks[4::2]):
+        add(z, a)  # flow into the attackers
+        add(a, t)  # stripped by the attack
+    return DirectedMultigraph.from_edges(2 * n + 1 + k, edges), victim, attackers
