@@ -85,23 +85,18 @@ def build_pattern(pattern: str, attackers, victim: int) -> AttackSpec:
     victim = int(victim)
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
-    if len(set(attackers)) != len(attackers):
-        raise ValueError(f"attackers must be distinct, got {attackers}")
+    # Empty or repeated attackers are left to AttackSpec, so no branch below
+    # may fail on them first.
     k = len(attackers)
-    if k < 1:
-        raise ValueError("attack needs at least one attacker")
     if pattern == "tree":
         # The tree shape is used in its star specialization.
         pattern = "star"
     if pattern == "individual":
         assignment = {a: {victim: 1} for a in attackers}
     elif pattern == "star":
-        hub = attackers[0]
-        assignment = {hub: {victim: 1}}
-        for a in attackers[1:]:
-            assignment[a] = {victim: 1, hub: 1}
+        assignment = {a: {victim: 1, attackers[0]: 1} if i else {victim: 1} for i, a in enumerate(attackers)}
     elif pattern == "cycle":
-        if k < 2:
+        if k == 1:
             raise ValueError("cycle pattern needs at least 2 attackers")
         assignment = {}
         for i, a in enumerate(attackers):

@@ -306,7 +306,8 @@ def optimal_link_farm(
     itself (self-loops are impossible); ties go to the lowest id. After
     the direct attack the farm members all sit at the best achievable
     return, so the chosen node is a farm member unless an outsider ties.
-    `cfg.alpha` must equal `alpha`.
+    `cfg.alpha` must equal `alpha`; a given `cfg` also sets the forward-value
+    solve's tolerance and iteration cap.
     """
     _config(alpha, cfg)
     farm = tuple(int(v) for v in farm_nodes)
@@ -325,7 +326,8 @@ def optimal_link_farm(
         pattern_tag="individual",
     )
     staged = apply_attack(g, direct)
-    fwd = forward_values(staged, target, alpha)
+    limits = () if cfg is None else (cfg.tolerance, cfg.max_iterations)
+    fwd = forward_values(staged, target, alpha, *limits)
     best_u, best_v = None, -1.0
     for u in range(g.node_count):
         if u == target:

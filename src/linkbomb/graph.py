@@ -9,9 +9,11 @@ instances can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+import operator
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -314,51 +316,91 @@ def dumps_edgelist(g: DirectedMultigraph) -> str:
 
 
 def loads_edgelist(text: str) -> DirectedMultigraph:
-    """Parse the edge-list format; every malformed line fails with its number.
+    """Parse the edge-list format; the first malformed line fails with its number.
 
-    A repeated "# nodes N" directive must agree with the first one.
+    A repeated "# nodes N" directive must agree with the first. The text is
+    split and its fields go through int() in bulk; only lines holding a '#'
+    are read one at a time, and a per-line scan runs only to name the line
+    once a bulk check has failed.
     """
-    declared: int | None = None
-    declared_at = 0
-    rows: list[list[int]] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body, hashed, comment = raw.partition("#")
-        parts = body.split()
+    lines = text.splitlines()
+    declared, fault = _strip_comments(lines)
+    fields = list(map(str.split, lines))
+    del lines
+    counts = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
+    flat = None
+    if not np.any((counts == 1) | (counts > 3)):
+        with contextlib.suppress(ValueError, OverflowError):
+            tokens = map(int, itertools.chain.from_iterable(fields))
+            flat = np.fromiter(tokens, dtype=np.int64, count=int(counts.sum()))
+    del fields
+    if flat is None or fault:
+        _raise_first_fault(text, fault)
+    if declared is None and not len(flat):
+        raise ValueError("empty edge list with no '# nodes N' directive")
+    rows = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[rows]
+    tails, heads = flat[starts], flat[starts + 1]
+    mult = np.ones(len(rows), dtype=np.int64)
+    triple = counts[rows] == 3
+    mult[triple] = flat[starts[triple] + 2]
+    n = declared if declared is not None else max(int(np.maximum(tails, heads).max()) + 1, 1)
+    return DirectedMultigraph(n, _coalesce(n, tails, heads, mult, rows + 1))
+
+
+def _strip_comments(lines: list[str]) -> tuple[int | None, tuple[int, str] | None]:
+    """Cut the comment off every line holding a '#', in place, and read the
+    "# nodes N" directives (comment lines with nothing before the '#').
+
+    Returns the declared node count (None without a directive) and the
+    first faulty directive as (line number, message), or None.
+    """
+    declared = fault = None
+    hashed = np.fromiter(map(operator.contains, lines, itertools.repeat("#")), dtype=bool, count=len(lines))
+    for i in np.flatnonzero(hashed).tolist():
+        raw = lines[i]
+        lines[i], _, comment = raw.partition("#")
+        words = comment.split()
+        if fault or lines[i].split() or len(words) != 2 or words[0] != "nodes":
+            continue
+        lineno = i + 1
+        try:
+            n = int(words[1])
+        except ValueError:
+            fault = (lineno, f"line {lineno}: node count must be an integer, got {raw!r}")
+            continue
+        if n < 1:
+            fault = (lineno, f"line {lineno}: node count must be >= 1, got {n}")
+        elif declared is not None and n != declared:
+            conflict = f"'# nodes {n}' conflicts with '# nodes {declared}' on line {declared_at}"
+            fault = (lineno, f"line {lineno}: {conflict}")
+        else:
+            declared, declared_at = n, lineno
+    return declared, fault
+
+
+def _raise_first_fault(text: str, fault: tuple[int, str] | None) -> NoReturn:
+    """Name the first faulty line once a bulk field check or a directive
+    has failed.
+
+    A bad field count or a non-integer field wins if it comes before the
+    faulty directive `fault`; then comes that directive; last, the first row
+    with a field outside int64.
+    """
+    out_of_range = None
+    for lineno, raw in enumerate(text.splitlines()[: fault[0] if fault else None], start=1):
+        parts = raw.partition("#")[0].split()
         if not parts:
-            fields = comment.split()
-            if hashed and len(fields) == 2 and fields[0] == "nodes":
-                try:
-                    n = int(fields[1])
-                except ValueError:
-                    raise ValueError(f"line {lineno}: node count must be an integer, got {raw!r}") from None
-                if n < 1:
-                    raise ValueError(f"line {lineno}: node count must be >= 1, got {n}")
-                if declared is not None and n != declared:
-                    raise ValueError(
-                        f"line {lineno}: '# nodes {n}' conflicts with '# nodes {declared}' on line {declared_at}"
-                    )
-                declared, declared_at = n, lineno
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {raw!r}")
         try:
-            row = [int(x) for x in parts]
+            row = [int(x) for x in parts] + [1] * (3 - len(parts))
         except ValueError:
             raise ValueError(f"line {lineno}: fields must be integers, got {raw!r}") from None
-        if len(row) == 2:
-            row.append(1)
-        rows.append(row)
-        linenos.append(lineno)
-    if declared is None and not rows:
-        raise ValueError("empty edge list with no '# nodes N' directive")
-    try:
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        i = next(i for i, row in enumerate(rows) if any(not -(2**63) <= x < 2**63 for x in row))
-        raise ValueError(f"line {linenos[i]}: field out of range in {rows[i]}") from None
-    n = declared if declared is not None else max(int(cols[:, :2].max()) + 1, 1)
-    return DirectedMultigraph(n, _coalesce(n, cols[:, 0], cols[:, 1], cols[:, 2], linenos))
+        if out_of_range is None and not all(-(2**63) <= x < 2**63 for x in row):
+            out_of_range = f"line {lineno}: field out of range in {row}"
+    raise ValueError(fault[1] if fault else out_of_range)
 
 
 def save_edgelist(g: DirectedMultigraph, path) -> None:

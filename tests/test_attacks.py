@@ -57,6 +57,18 @@ def test_build_pattern_validation():
         build_pattern("pentagram", (1, 2), 0)
 
 
+@pytest.mark.parametrize("pattern", ["individual", "star", "tree", "cycle", "complete"])
+def test_build_pattern_attacker_errors(pattern):
+    with pytest.raises(ValueError, match=r"^attackers must be distinct, got \(1, 1\)$"):
+        build_pattern(pattern, [1, 1], 0)
+    with pytest.raises(ValueError, match=r"^attackers must be distinct, got \(1, 2, 1\)$"):
+        build_pattern(pattern, [1, 2, 1], 0)
+    with pytest.raises(ValueError, match="^attack needs at least one attacker$"):
+        build_pattern(pattern, [], 0)
+    with pytest.raises(ValueError, match="^victim 1 cannot be an attacker$"):
+        build_pattern(pattern, [1, 1], 1)
+
+
 def test_spec_rejects_self_loops():
     with pytest.raises(ValueError):
         AttackSpec(attackers=(1,), victim=0, assignment={1: {1: 1}})

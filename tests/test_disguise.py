@@ -375,3 +375,18 @@ def test_link_farm_validation():
         optimal_link_farm(g, (2,), 2, 0.85)
     with pytest.raises(ValueError):
         optimal_link_farm(g, (1, 2), 3, 0.85)
+
+
+def test_link_farm_solve_takes_the_config_limits(monkeypatch):
+    g = DirectedMultigraph.from_edges(6, [(0, 4), (1, 4), (1, 5)])
+    capped = PageRankConfig(alpha=0.85, max_iterations=1)
+    with pytest.raises(ConvergenceError, match="absorbing solve did not converge in 1 iterations"):
+        optimal_link_farm(g, (2, 3, 4), 4, 0.85, capped)
+    limits = []
+    solve = linkbomb.disguise.forward_values
+    monkeypatch.setattr(
+        linkbomb.disguise, "forward_values", lambda *args: limits.append(args[3:]) or solve(*args)
+    )
+    optimal_link_farm(g, (2, 3, 4), 4, 0.85, PageRankConfig(alpha=0.85, tolerance=1e-6, max_iterations=50))
+    optimal_link_farm(g, (2, 3, 4), 4, 0.85)
+    assert limits == [(1e-6, 50), ()]  # without a config, forward_values' own defaults

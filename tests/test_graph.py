@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from linkbomb import AttackSpec, DirectedMultigraph, apply_attack, dumps_edgelist, loads_edgelist
+import linkbomb.graph
+from linkbomb import AttackSpec, DirectedMultigraph, apply_attack, dumps_edgelist, load_edgelist, loads_edgelist
 
 from util import (
     ReferenceMultigraph,
     bfs_distance_oracle,
     reference_apply_attack,
     reference_dumps_edgelist,
+    reference_loads_edgelist,
 )
 
 
@@ -312,3 +314,86 @@ def test_edgelist_round_trip_property(graph):
     text = dumps_edgelist(g)
     assert loads_edgelist(text) == g
     assert dumps_edgelist(loads_edgelist(text)) == text
+
+
+# ---- bulk parser against the line-by-line reference ------------------------------
+
+_ODD_FIELDS = (
+    "+3", "1_0", "\u0663", "\uff15", "-1", "0", "x", "1.5", "0x1", "",
+    str(2**63), str(-(2**63) - 1), str(10**20), str(-(2**63)),
+)
+_SPACES = st.sampled_from([" ", "\t", "  ", " \t", "\xa0"])
+_COUNTS = ("3", "6", "8", "8", "0", "-2", "many", "+8", "1_0", "\u0668", "1.5", "6 6")
+
+
+@st.composite
+def _edgelist_line(draw) -> str:
+    kind = draw(st.sampled_from(("edge",) * 5 + ("odd", "directive", "comment", "blank")))
+    if kind == "blank":
+        return draw(st.sampled_from(("", " ", "\t ")))
+    if kind == "comment":
+        return draw(st.sampled_from(("#", "# a note", "  # 1 2", "#nodes", "# nodes", "# nodes 4 # twice")))
+    if kind == "directive":
+        return draw(st.sampled_from(("# nodes ", "#nodes ", "  #  nodes\t"))) + draw(st.sampled_from(_COUNTS))
+    if kind == "edge":
+        fields = [str(draw(st.integers(0, 7))) for _ in range(2)]
+        if draw(st.booleans()):
+            fields.append(draw(st.sampled_from(("1", "2", "3") * 3 + ("0", "-4"))))
+    else:
+        small = st.integers(-2, 9).map(str)
+        size = draw(st.sampled_from((1, 2, 2, 3, 3, 4)))
+        fields = [draw(st.one_of(small, st.sampled_from(_ODD_FIELDS))) for _ in range(size)]
+    line = draw(st.sampled_from(("", " ", "\t"))) + draw(_SPACES).join(fields)
+    return line + draw(st.sampled_from(("", "", " ", "  # trailing", "#x")))
+
+
+@st.composite
+def _edgelist_text(draw) -> str:
+    lines = draw(st.lists(_edgelist_line(), max_size=10))
+    breaks = st.sampled_from(("\n", "\n", "\r\n", "\r", "\x0c"))
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def _same_parse(text: str) -> None:
+    """loads_edgelist gives the reference's graph, or raises its exact message."""
+    try:
+        expected = reference_loads_edgelist(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            loads_edgelist(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert loads_edgelist(text) == expected
+
+
+@settings(max_examples=1000)
+@given(_edgelist_text())
+def test_loads_edgelist_matches_line_by_line_reference(text):
+    _same_parse(text)
+
+
+def test_loads_edgelist_reports_the_first_of_several_faults():
+    faults = [
+        "0 1 2 3", "1", "1 x", "1.5 2", "0 99999999999999999999", "9223372036854775808 1 1",
+        "# nodes 0", "# nodes many", "# nodes 2", "# nodes 9", "0 0", "0 1 0", "0 1 -2", "-1 0", "0 8",
+    ]
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        lines = [f"{u} {v}" for u, v in rng.integers(0, 6, size=(int(rng.integers(0, 6)), 2)) if u != v]
+        for fault in rng.choice(faults, size=int(rng.integers(2, 5))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), str(fault))
+        if rng.random() < 0.5:
+            lines.insert(0, "# nodes 7")
+        _same_parse("\n".join(lines) + "\n")
+
+
+def test_load_edgelist_parses_through_the_module_function(tmp_path, monkeypatch):
+    """load_edgelist looks loads_edgelist up in linkbomb.graph at call time,
+    so a wrapper installed there (as the benchmark's tracer does) sees the parse."""
+    seen = []
+    parse = linkbomb.graph.loads_edgelist
+    monkeypatch.setattr(linkbomb.graph, "loads_edgelist", lambda text: seen.append(text) or parse(text))
+    path = tmp_path / "g.txt"
+    path.write_text("# nodes 3\n0 1\n")
+    assert load_edgelist(path) == DirectedMultigraph(3).add_edge(0, 1)
+    assert seen == ["# nodes 3\n0 1\n"]

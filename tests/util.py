@@ -19,6 +19,7 @@ from linkbomb import (
     generate,
 )
 from linkbomb.disguise import DisguisedAttackPlan, _candidates_for, _staged
+from linkbomb.graph import _coalesce
 
 
 def small_random_graph(rng, n_min=3, n_max=8, extra_edges=3, multiplicity=2) -> DirectedMultigraph:
@@ -396,6 +397,52 @@ def reference_dumps_edgelist(g: ReferenceMultigraph) -> str:
         m = g._edges[(u, v)]
         lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
     return "\n".join(lines) + "\n"
+
+
+def reference_loads_edgelist(text: str) -> DirectedMultigraph:
+    """Line-by-line edge-list parser (int() per field), the oracle for
+    graph.loads_edgelist: same graph or the same ValueError message."""
+    declared: int | None = None
+    declared_at = 0
+    rows: list[list[int]] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body, hashed, comment = raw.partition("#")
+        parts = body.split()
+        if not parts:
+            fields = comment.split()
+            if hashed and len(fields) == 2 and fields[0] == "nodes":
+                try:
+                    n = int(fields[1])
+                except ValueError:
+                    raise ValueError(f"line {lineno}: node count must be an integer, got {raw!r}") from None
+                if n < 1:
+                    raise ValueError(f"line {lineno}: node count must be >= 1, got {n}")
+                if declared is not None and n != declared:
+                    raise ValueError(
+                        f"line {lineno}: '# nodes {n}' conflicts with '# nodes {declared}' on line {declared_at}"
+                    )
+                declared, declared_at = n, lineno
+            continue
+        if len(parts) not in (2, 3):
+            raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {raw!r}")
+        try:
+            row = [int(x) for x in parts]
+        except ValueError:
+            raise ValueError(f"line {lineno}: fields must be integers, got {raw!r}") from None
+        if len(row) == 2:
+            row.append(1)
+        rows.append(row)
+        linenos.append(lineno)
+    if declared is None and not rows:
+        raise ValueError("empty edge list with no '# nodes N' directive")
+    try:
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if any(not -(2**63) <= x < 2**63 for x in row))
+        raise ValueError(f"line {linenos[i]}: field out of range in {rows[i]}") from None
+    n = declared if declared is not None else max(int(cols[:, :2].max()) + 1, 1)
+    return DirectedMultigraph(n, _coalesce(n, cols[:, 0], cols[:, 1], cols[:, 2], linenos))
 
 
 def reference_optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg=None) -> DisguisedAttackPlan:
