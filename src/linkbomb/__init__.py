@@ -49,6 +49,7 @@ from .pagerank import (
     PageRankVector,
     closed_form_isolated,
     compute_pagerank,
+    compute_pageranks,
     rank_of,
     verify_sum_identity,
 )

@@ -107,19 +107,27 @@ def candidate_set(g: DirectedMultigraph, victim: int, ell: int) -> set[int]:
     return {u for u, d in enumerate(dist) if d == want}
 
 
-def value_of(g: DirectedMultigraph, attacker: int, u: int, victim: int, alpha: float) -> float:
+def value_of(
+    g: DirectedMultigraph,
+    attacker: int,
+    u: int,
+    victim: int,
+    alpha: float,
+    cfg: PageRankConfig | None = None,
+) -> float:
     """Forward value the attacker achieves by pointing only at u.
 
     The attacker's out-edges are replaced by the single probe edge
     (attacker, u); the result is the attacker's forward value toward the
-    victim on that modified graph.
+    victim on that modified graph. A given `cfg` sets the solve's
+    tolerance and iteration cap; its alpha is not consulted.
     """
     attacker = g._check_node(attacker)
     u = g._check_node(u)
     if u == attacker:
         raise ValueError(f"probe edge ({attacker}, {u}) would be a self-loop")
     probed = g._splice((attacker,), {(attacker, u): 1})
-    fwd = forward_values(probed, victim, alpha)
+    fwd = forward_values(probed, victim, alpha, *_limits(cfg))
     return float(fwd.values[attacker])
 
 
@@ -140,6 +148,12 @@ def _candidates_for(staged, attackers, victim, ell) -> list[int]:
             f"no usable node at distance {ell - 1} from victim {victim}: disguised attack infeasible"
         )
     return out
+
+
+def _limits(cfg: PageRankConfig | None) -> tuple:
+    """forward_values' (tolerance, max_iterations) arguments: the config's
+    limits, or none (its own defaults) without a config."""
+    return () if cfg is None else (cfg.tolerance, cfg.max_iterations)
 
 
 def _config(alpha: float, cfg: PageRankConfig | None) -> PageRankConfig:
@@ -164,15 +178,16 @@ def optimal_disguised_single(
     Scans the distance ell - 1 shell for the forward-value maximizer
     (lowest id on ties); scanning farther shells can never do better.
     With ell = 1 the shell is just the victim and the plan degenerates to
-    the direct individual attack. `cfg.alpha` must equal `alpha`.
+    the direct individual attack. `cfg.alpha` must equal `alpha`; a given
+    `cfg` also sets the forward-value solves' tolerance and iteration cap.
     """
     if attacker == victim:
         raise ValueError("attacker and victim must differ")
-    cfg = _config(alpha, cfg)
+    solve_cfg = _config(alpha, cfg)
     cands = _candidates_for(_staged(g, (attacker,)), (attacker,), victim, ell)
     best_u, best_v = None, -1.0
     for u in cands:
-        val = value_of(g, attacker, u, victim, alpha)
+        val = value_of(g, attacker, u, victim, alpha, cfg)
         if val > best_v:
             best_u, best_v = u, val
     spec = AttackSpec(
@@ -181,7 +196,7 @@ def optimal_disguised_single(
         assignment={attacker: {best_u: 1}},
         pattern_tag="custom",
     )
-    result = attack_magnitude(g, spec, cfg)
+    result = attack_magnitude(g, spec, solve_cfg)
     return DisguisedAttackPlan(
         attackers=(attacker,),
         victim=victim,
@@ -193,9 +208,11 @@ def optimal_disguised_single(
     )
 
 
-def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig):
+def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig, limits=()):
     """V(w) for each candidate w (see the module docstring) and a bound on
     |V(w) - victim score of the full pagerank solve of that attack|.
+    `limits` are the f and y solves' (tolerance, max_iterations), by default
+    forward_values' own.
 
     V increases in each of its inputs, so it is evaluated with every input
     at the low and at the high end of its certified error: residual / (1 -
@@ -204,8 +221,9 @@ def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg
     """
     n, alpha = staged.node_count, cfg.alpha
     eps = np.finfo(float).eps
-    fwd = forward_values(staged, victim, alpha)
-    y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, _TOLERANCE, _MAX_ITERATIONS)
+    tolerance, max_iterations = limits or (_TOLERANCE, _MAX_ITERATIONS)
+    fwd = forward_values(staged, victim, alpha, tolerance, max_iterations)
+    y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, tolerance, max_iterations)
     f = fwd.values
     err_f = (fwd.residual + n * eps) / (1.0 - alpha)
     err_y = (y_resid + n * eps) / (1.0 - alpha)
@@ -225,7 +243,7 @@ def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg
     return mid, np.maximum(hi - mid, mid - lo) + full_solve + n * eps * hi
 
 
-def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig) -> list[int]:
+def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig, limits=()) -> list[int]:
     """The candidates whose full solve may still win the scan.
 
     A candidate is dropped only when its score's upper bound lies below some
@@ -234,7 +252,7 @@ def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: Pa
     """
     if cfg.alpha >= 1.0:
         return list(cands)
-    score, bound = _shell_scores(staged, attackers, victim, cands, cfg)
+    score, bound = _shell_scores(staged, attackers, victim, cands, cfg, limits)
     keep = score + bound >= np.max(score - bound)
     return [w for w, k in zip(cands, keep) if k]
 
@@ -257,17 +275,20 @@ def optimal_disguised_joint(
     error of the best -- gets a full solve of the attacked graph. The
     largest full-solve magnitude wins, the lowest id among equals, exactly
     as a full solve per candidate would choose. `cfg.alpha` must equal
-    `alpha`.
+    `alpha`; a given `cfg` also sets the absorbing solves' tolerance and
+    iteration cap.
     """
     attackers = tuple(int(a) for a in attackers)
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
+    limits = _limits(cfg)
     cfg = _config(alpha, cfg)
     staged = _staged(g, attackers)
     cands = _candidates_for(staged, attackers, victim, ell)
+    band = _tie_band(staged, attackers, victim, cands, cfg, limits)
     before = compute_pagerank(g, cfg)
     best_w, best_graph, best = None, None, None
-    for w in _tie_band(staged, attackers, victim, cands, cfg):
+    for w in band:
         spec = AttackSpec(
             attackers=attackers,
             victim=victim,
@@ -278,7 +299,7 @@ def optimal_disguised_joint(
         res = _measure(before, attacked, victim, cfg)
         if best is None or res.magnitude > best.magnitude:
             best_w, best_graph, best = w, attacked, res
-    fwd = forward_values(best_graph, victim, alpha)
+    fwd = forward_values(best_graph, victim, alpha, *limits)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
@@ -326,8 +347,7 @@ def optimal_link_farm(
         pattern_tag="individual",
     )
     staged = apply_attack(g, direct)
-    limits = () if cfg is None else (cfg.tolerance, cfg.max_iterations)
-    fwd = forward_values(staged, target, alpha, *limits)
+    fwd = forward_values(staged, target, alpha, *_limits(cfg))
     best_u, best_v = None, -1.0
     for u in range(g.node_count):
         if u == target:

@@ -1,8 +1,9 @@
 """Trial harness for measuring attacks on random graphs.
 
 One trial: generate a graph, pick a victim and attackers, strip the
-attackers' out-edges, solve the baseline, then apply each requested
-attack pattern and solve again. Per attack the record carries
+attackers' out-edges, apply each requested attack pattern, then solve
+the baseline and every attacked graph together at each alpha. Per
+attack the record carries
 
     magnitude          victim_after - victim_before
     gain               magnitude / victim_before
@@ -29,7 +30,7 @@ import numpy as np
 
 from .attacks import apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
-from .pagerank import PageRankConfig, PageRankVector, compute_pagerank, rank_of
+from .pagerank import PageRankConfig, PageRankVector, compute_pagerank, compute_pageranks, rank_of
 
 __all__ = [
     "SelectionRule",
@@ -107,9 +108,9 @@ class SelectionRule:
         text = text.strip()
         if text == "uniform":
             return cls()
-        if text.startswith("quantile:"):
-            _, lo, hi = text.split(":")
-            return cls(mode="quantile", lo=float(lo), hi=float(hi))
+        parts = text.split(":")
+        if parts[0] == "quantile" and len(parts) == 3:
+            return cls(mode="quantile", lo=float(parts[1]), hi=float(parts[2]))
         raise ValueError(f"cannot parse selection rule {text!r}")
 
     def __str__(self) -> str:
@@ -196,8 +197,10 @@ def _selection_pool(rule: SelectionRule, order: np.ndarray, n: int) -> np.ndarra
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     """Run one trial, returning a record per alpha in the sweep.
 
-    The graph and the victim/attacker choice are fixed once per trial;
-    only the solves depend on alpha.
+    The graph, the victim/attacker choice and the attacked graphs are
+    fixed once per trial; only the solves depend on alpha. Per alpha the
+    baseline and every attacked graph are solved together in one
+    `compute_pageranks` call.
     """
     ss = np.random.SeedSequence((cfg.master_seed, trial_index))
     graph_seed, select_seed = (int(s) for s in ss.generate_state(2))
@@ -220,11 +223,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
     attackers = tuple(_pick(rng, attacker_pool, cfg.n_attackers))
 
     stripped = g._splice(attackers)
+    attacked = [apply_attack(stripped, build_pattern(pattern, attackers, victim)) for pattern in cfg.attacks]
 
     records = []
     for alpha in cfg.alphas:
         prcfg = PageRankConfig(alpha, cfg.tolerance, cfg.max_iterations)
-        base = compute_pagerank(stripped, prcfg)
+        base, *afters = compute_pageranks([stripped, *attacked], prcfg)
         p0 = float(base.scores[victim])
         p_att = float(base.scores[list(attackers)].mean())
         sigma = float(base.scores.std())
@@ -240,9 +244,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> list[TrialRecord]:
             sigma_p=sigma,
             rank_before=rank_of(base, victim),
         )
-        for pattern in cfg.attacks:
-            spec = build_pattern(pattern, attackers, victim)
-            after = compute_pagerank(apply_attack(stripped, spec), prcfg)
+        for pattern, after in zip(cfg.attacks, afters):
             magnitude = float(after.scores[victim]) - p0
             gain = magnitude / p0
             norm_gain = magnitude / sigma if sigma > 0.0 else 0.0
@@ -389,10 +391,10 @@ _GENERATOR_KEYS = {
 }
 
 _EXPERIMENT_KEYS = {
-    "alphas": None,
+    "alphas": lambda text: tuple(float(a) for a in text.split(",")),
     "trials": int,
     "n_attackers": int,
-    "attacks": None,
+    "attacks": lambda text: tuple(a.strip() for a in text.split(",")),
     "attacker_selection": SelectionRule.parse,
     "victim_selection": SelectionRule.parse,
     "master_seed": int,
@@ -402,8 +404,11 @@ _EXPERIMENT_KEYS = {
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse `key = value` lines ('#' comments) into an ExperimentConfig."""
-    values: dict[str, str] = {}
+    """Parse `key = value` lines ('#' comments) into an ExperimentConfig.
+
+    A value that does not convert fails with its line number and key.
+    """
+    values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -417,27 +422,26 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         if key not in _GENERATOR_KEYS and key not in _EXPERIMENT_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = val
+        values[key] = (lineno, val)
 
     if "model" not in values or "n" not in values:
         raise ValueError("config must set at least 'model' and 'n'")
 
-    gen_kwargs = {}
-    for key, conv in _GENERATOR_KEYS.items():
-        if key in values:
-            name = "target_expected_edges" if key == "target_edges" else key
-            gen_kwargs[name] = conv(values[key])
-    exp_kwargs: dict = {"generator": GeneratorConfig(**gen_kwargs)}
-    for key, conv in _EXPERIMENT_KEYS.items():
-        if key not in values:
-            continue
-        if key == "alphas":
-            exp_kwargs["alphas"] = tuple(float(a) for a in values[key].split(","))
-        elif key == "attacks":
-            exp_kwargs["attacks"] = tuple(a.strip() for a in values[key].split(","))
-        else:
-            exp_kwargs[key] = conv(values[key])
-    return ExperimentConfig(**exp_kwargs)
+    def convert(keys: dict) -> dict:
+        out = {}
+        for key, conv in keys.items():
+            if key in values:
+                lineno, val = values[key]
+                try:
+                    out[key] = conv(val)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {key}: {exc}") from None
+        return out
+
+    gen_kwargs = convert(_GENERATOR_KEYS)
+    if "target_edges" in gen_kwargs:
+        gen_kwargs["target_expected_edges"] = gen_kwargs.pop("target_edges")
+    return ExperimentConfig(generator=GeneratorConfig(**gen_kwargs), **convert(_EXPERIMENT_KEYS))
 
 
 def read_experiment_config(path) -> ExperimentConfig:

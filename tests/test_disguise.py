@@ -390,3 +390,37 @@ def test_link_farm_solve_takes_the_config_limits(monkeypatch):
     optimal_link_farm(g, (2, 3, 4), 4, 0.85, PageRankConfig(alpha=0.85, tolerance=1e-6, max_iterations=50))
     optimal_link_farm(g, (2, 3, 4), 4, 0.85)
     assert limits == [(1e-6, 50), ()]  # without a config, forward_values' own defaults
+
+
+def test_disguise_solves_take_the_config_limits():
+    capped = PageRankConfig(alpha=0.85, max_iterations=1)
+    absorbing = "absorbing solve did not converge in 1 iterations"
+    with pytest.raises(ConvergenceError, match=absorbing):
+        value_of(TWO_CANDIDATE, 1, 3, 0, 0.85, capped)
+    with pytest.raises(ConvergenceError, match=absorbing):
+        optimal_disguised_single(TWO_CANDIDATE, 1, 0, 2, 0.85, capped)
+    # the shell scan's f and y solves run before any pagerank solve
+    with pytest.raises(ConvergenceError, match=absorbing):
+        optimal_disguised_joint(TWO_CANDIDATE, (1, 2), 0, 2, 0.85, capped)
+    # at alpha = 1 the pagerank solves return flagged at the cutoff; the
+    # winner's forward-value solve still raises
+    with pytest.raises(ConvergenceError, match=absorbing):
+        optimal_disguised_joint(TWO_CANDIDATE, (1, 2), 0, 2, 1.0, PageRankConfig(alpha=1.0, max_iterations=1))
+
+
+def test_disguise_solve_limits_reach_every_absorbing_solve(monkeypatch):
+    limits = []
+    solve = linkbomb.disguise._absorbing_values
+
+    def recording(*args):
+        limits.append(args[4:])
+        return solve(*args)
+
+    monkeypatch.setattr(linkbomb.disguise, "_absorbing_values", recording)
+    given_cfg = PageRankConfig(alpha=0.85, tolerance=1e-10, max_iterations=500)
+    for cfg, want in ((given_cfg, (1e-10, 500)), (None, (1e-12, 100_000))):
+        limits.clear()
+        optimal_disguised_single(TWO_CANDIDATE, 1, 0, 2, 0.85, cfg)
+        optimal_disguised_joint(TWO_CANDIDATE, (1, 2), 0, 2, 0.85, cfg)
+        # two probes, then the f and y solves and the winner's forward values
+        assert limits == [want] * 5

@@ -19,7 +19,10 @@ from linkbomb import (
     run_experiment,
     run_trial,
 )
+import linkbomb.experiment
 from linkbomb.experiment import read_experiment_config, summarize, write_summary_csv, write_trials_csv
+
+from util import reference_compute_pagerank
 
 
 def isolated_cfg(alpha=0.85):
@@ -239,3 +242,44 @@ def test_experiment_config_validation():
         ExperimentConfig(generator=gen, n_attackers=2, alphas=(1.0,))
     with pytest.raises(ValueError):
         SelectionRule("quantile", 0.5, 0.2)
+
+
+def test_config_value_errors_name_line_and_key():
+    head = "model = random\nn = 20\np = 0.1\n"
+    cases = [
+        ("model = random\nn = abc\n", "line 2: n: invalid literal for int()"),
+        (head + "alphas = 0.5,x\n", "line 4: alphas: could not convert string to float: 'x'"),
+        (head + "\nattacker_selection = quantile:0.1\n",
+         "line 5: attacker_selection: cannot parse selection rule 'quantile:0.1'"),
+        (head + "victim_selection = quantile:0.1:0.2:0.3\n", "line 4: victim_selection: cannot parse"),
+        (head + "trials = 2.5  # not an int\n", "line 4: trials: invalid literal for int()"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as err:
+            parse_experiment_config(text)
+        assert str(err.value).startswith(message)
+
+
+def test_trial_solves_each_attacked_graph_once_per_alpha(monkeypatch):
+    cfg = ExperimentConfig(
+        generator=GeneratorConfig("mwdta", 60, target_expected_edges=240.0),
+        alphas=(0.0, 0.5, 0.85, 0.95),
+        trials=3,
+        n_attackers=4,
+        attacks=("individual", "star", "cycle", "complete"),
+        attacker_selection=SelectionRule("quantile", 0.5, 1.0),
+        master_seed=5,
+    )
+    real = run_experiment(cfg)
+    applied = []
+    apply = linkbomb.experiment.apply_attack
+    monkeypatch.setattr(linkbomb.experiment, "apply_attack", lambda g, spec: applied.append(spec) or apply(g, spec))
+    monkeypatch.setattr(
+        linkbomb.experiment,
+        "compute_pageranks",
+        lambda graphs, prcfg: [reference_compute_pagerank(g, prcfg) for g in graphs],
+    )
+    for t in range(cfg.trials):
+        applied.clear()
+        assert run_trial(cfg, t) == real[t * len(cfg.alphas):(t + 1) * len(cfg.alphas)]
+        assert len(applied) == len(cfg.attacks)

@@ -13,11 +13,12 @@ from linkbomb import (
     apply_attack,
     closed_form_isolated,
     compute_pagerank,
+    compute_pageranks,
     rank_of,
     verify_sum_identity,
 )
 
-from util import small_random_graph
+from util import reference_compute_pagerank, small_random_graph
 
 PAIR = DirectedMultigraph.from_edges(2, [(0, 1)])
 
@@ -201,3 +202,81 @@ def test_config_validation():
         PageRankConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         PageRankConfig(max_iterations=0)
+
+
+CYCLIC = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+
+
+@st.composite
+def solver_graphs(draw):
+    """Graphs of 1-12 nodes, edgeless ones included, plus a slow cycle."""
+    if draw(st.integers(0, 5)) == 0:
+        return CYCLIC
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return DirectedMultigraph(1)
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2), st.integers(1, 3)), max_size=3 * n))
+    return DirectedMultigraph.from_edges(n, [(u, v + (v >= u), m) for u, v, m in rows])
+
+
+def assert_same_solve(got, want):
+    assert got.scores.dtype == want.scores.dtype
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert got.scores.flags.owndata  # a frozen block keeps its own copy
+    assert (got.alpha, got.iterations, got.residual, got.converged, got.flagged_alpha_one) == (
+        want.alpha,
+        want.iterations,
+        want.residual,
+        want.converged,
+        want.flagged_alpha_one,
+    )
+    assert got.residual_history == want.residual_history
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(solver_graphs(), min_size=1, max_size=5),
+    st.sampled_from([0.0, 0.5, 0.85, 1.0]),
+    st.sampled_from([1e-12, 1e-4]),
+    st.sampled_from([1, 5, 60, 2000]),
+)
+def test_batched_solve_equals_lone_solves(graphs, alpha, tolerance, max_iterations):
+    cfg = PageRankConfig(alpha, tolerance, max_iterations)
+    try:
+        want = [reference_compute_pagerank(g, cfg) for g in graphs]
+    except ConvergenceError as lone:
+        # the first graph, in input order, that a sequence of lone solves fails on
+        with pytest.raises(ConvergenceError) as err:
+            compute_pageranks(graphs, cfg)
+        assert str(err.value) == str(lone)
+        assert err.value.residual == lone.residual
+        return
+    got = compute_pageranks(graphs, cfg)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_solve(a, b)
+    assert_same_solve(compute_pagerank(graphs[0], cfg), want[0])
+
+
+def test_batched_alpha_one_flags_the_cut_off_cycle():
+    chain = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2)])
+    cfg = PageRankConfig(alpha=1.0, max_iterations=25)
+    got = compute_pageranks([chain, CYCLIC, DirectedMultigraph(4)], cfg)
+    assert [(r.converged, r.flagged_alpha_one) for r in got] == [(True, True), (False, True), (True, True)]
+    assert got[1].iterations == 25
+    for a, g in zip(got, (chain, CYCLIC, DirectedMultigraph(4))):
+        assert_same_solve(a, reference_compute_pagerank(g, cfg))
+
+
+def test_batched_error_names_the_first_unconverged_graph():
+    fast = DirectedMultigraph(2)  # converges at the second iterate
+    slow = DirectedMultigraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    cfg = PageRankConfig(alpha=0.95, max_iterations=3)
+    with pytest.raises(ConvergenceError) as lone:
+        for g in (fast, CYCLIC, slow):
+            reference_compute_pagerank(g, cfg)
+    with pytest.raises(ConvergenceError) as batched:
+        compute_pageranks([fast, CYCLIC, slow], cfg)
+    assert str(batched.value) == str(lone.value)
+    assert batched.value.residual == lone.value.residual
+    assert compute_pageranks([], cfg) == []

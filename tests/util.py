@@ -10,9 +10,11 @@ import scipy.sparse as sp
 
 from linkbomb import (
     AttackSpec,
+    ConvergenceError,
     DirectedMultigraph,
     GeneratorConfig,
     PageRankConfig,
+    PageRankVector,
     apply_attack,
     attack_magnitude,
     forward_values,
@@ -445,10 +447,56 @@ def reference_loads_edgelist(text: str) -> DirectedMultigraph:
     return DirectedMultigraph(n, _coalesce(n, cols[:, 0], cols[:, 1], cols[:, 2], linenos))
 
 
+def reference_compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = PageRankConfig()) -> PageRankVector:
+    """The lone power iteration, one graph per call: the oracle for the
+    block-diagonal `compute_pageranks`."""
+    n = g.node_count
+    alpha = cfg.alpha
+    m = g.transition_matrix()
+    jump = (1.0 - alpha) / n
+    p = np.full(n, 1.0 / n)
+    history: list[float] = []
+    resid = np.inf
+    for it in range(1, cfg.max_iterations + 1):
+        nxt = alpha * (m @ p) + jump
+        resid = float(np.max(np.abs(nxt - p)))
+        history.append(resid)
+        if resid <= cfg.tolerance:
+            return PageRankVector(
+                scores=p,
+                alpha=alpha,
+                iterations=it,
+                residual=resid,
+                converged=True,
+                flagged_alpha_one=alpha >= 1.0,
+                residual_history=history,
+            )
+        p = nxt
+    if alpha >= 1.0:
+        # alpha = 1 is allowed only under a hard cutoff; hand back the last
+        # iterate, flagged, rather than failing.
+        return PageRankVector(
+            scores=p,
+            alpha=alpha,
+            iterations=cfg.max_iterations,
+            residual=resid,
+            converged=False,
+            flagged_alpha_one=True,
+            residual_history=history,
+        )
+    raise ConvergenceError(
+        f"pagerank did not converge in {cfg.max_iterations} iterations "
+        f"(last residual {resid:.3e}, tolerance {cfg.tolerance:.3e})",
+        residual=resid,
+    )
+
+
 def reference_optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg=None) -> DisguisedAttackPlan:
     """The full-solve joint disguise scan: one `attack_magnitude` (baseline
-    and attacked solve) per shell candidate in ascending id, strict `>`."""
+    and attacked solve) per shell candidate in ascending id, strict `>`.
+    A given `cfg` also sets the winner's forward-value solve limits."""
     attackers = tuple(int(a) for a in attackers)
+    limits = () if cfg is None else (cfg.tolerance, cfg.max_iterations)
     cfg = cfg or PageRankConfig(alpha=alpha)
     cands = _candidates_for(_staged(g, attackers), attackers, victim, ell)
     best_w, best_spec, best = None, None, None
@@ -457,7 +505,7 @@ def reference_optimal_disguised_joint(g, attackers, victim, ell, alpha, cfg=None
         res = attack_magnitude(g, spec, cfg)
         if best is None or res.magnitude > best.magnitude:
             best_w, best_spec, best = w, spec, res
-    fwd = forward_values(apply_attack(g, best_spec), victim, alpha)
+    fwd = forward_values(apply_attack(g, best_spec), victim, alpha, *limits)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
