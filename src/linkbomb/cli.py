@@ -78,7 +78,7 @@ def _cmd_flow(args):
     g = load_edgelist(args.graph)
     excluded = frozenset(_node_list(args.exclude)) if args.exclude else frozenset()
     q = FlowQuery(source=args.source, target=args.target, excluded=excluded, alpha=args.alpha)
-    exact = flow_fraction(g, q)
+    exact = flow_fraction(g, q, args.tol, args.max_iter)
     if args.oracle is None:
         with _open_out(args.out) as fh:
             _csv_out(fh, ["fraction"], [(exact.fraction,)])

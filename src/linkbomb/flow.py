@@ -11,16 +11,20 @@ through a node multiply its incoming gains.
 Two routes are provided: an absorbing fixed-point solve (exact up to the
 solver tolerance, sums infinite walk families), and an explicit walk
 enumeration capped at a maximum length, kept as an independent oracle
-with an explicit tail bound.
+with an explicit tail bound. The absorbing solve runs on the pagerank
+solver's fixed-point loop, `pagerank._iterate`, as one block: the rows of
+the pinned and zeroed nodes are emptied and the pinned ones get a jump of
+1, so the map x <- alpha * (R @ x) + 1_pinned holds them at 1 and 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import DirectedMultigraph
-from .pagerank import ConvergenceError
+from .pagerank import ConvergenceError, _iterate
 
 __all__ = [
     "FlowQuery",
@@ -81,27 +85,25 @@ def _absorbing_values(
     is at most residual / (1 - alpha); alpha = 1 converges only when the
     relevant walk families are finite.
     """
-    n = g.node_count
     r = g.forward_matrix()
     pinned = np.asarray(pinned, dtype=np.intp)
-    zeros = np.setdiff1d(np.fromiter(zero_nodes, dtype=np.intp), pinned)
-    h = np.zeros(n)
-    h[pinned] = 1.0
-    resid = np.inf
-    for it in range(1, max_iterations + 1):
-        nxt = alpha * (r @ h)
-        nxt[pinned] = 1.0
-        if len(zeros):
-            nxt[zeros] = 0.0
-        resid = float(np.max(np.abs(nxt - h)))
-        if resid <= tolerance:
-            return h, resid, it
-        h = nxt
-    raise ConvergenceError(
-        f"absorbing solve did not converge in {max_iterations} iterations "
-        f"(last residual {resid:.3e})",
-        residual=resid,
-    )
+    fixed = np.zeros(g.node_count, dtype=bool)
+    fixed[np.fromiter(zero_nodes, dtype=np.intp)] = True
+    fixed[pinned] = True
+    # Pinned and zeroed rows hold explicit zeros; every other row keeps its
+    # entries in their stored order, so its sums come out as on r itself.
+    data = np.where(np.repeat(fixed, np.diff(r.indptr)), 0.0, r.data)
+    a = sp.csr_matrix((data, r.indices, r.indptr), shape=r.shape)
+    b = np.zeros(g.node_count)
+    b[pinned] = 1.0
+    [(h, iterations, resid, converged)] = _iterate(a, alpha, b, b, np.array([0, len(b)]), tolerance, max_iterations)
+    if not converged:
+        raise ConvergenceError(
+            f"absorbing solve did not converge in {max_iterations} iterations "
+            f"(last residual {resid:.3e})",
+            residual=resid,
+        )
+    return h, resid, iterations
 
 
 def flow_fraction(

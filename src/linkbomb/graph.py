@@ -233,30 +233,7 @@ class DirectedMultigraph:
         """Drop every edge leaving v; edges into v are untouched."""
         return self._splice((v,))
 
-    # ---- walks and distances ----------------------------------------------
-
-    def k_neighborhood(self, v: int, k: int) -> set[int]:
-        """Nodes reachable by walks of length exactly k from v.
-
-        The 0-neighborhood is {v}; the k-neighborhood is the set of heads
-        of edges whose tails lie in the (k-1)-neighborhood, so v can be a
-        member of its own k-neighborhood for k > 1.
-        """
-        v = self._check_node(v)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        frontier = np.array([v])
-        for _ in range(k):
-            frontier = np.unique(_step(self._indptr, self._heads, frontier))
-        return set(frontier.tolist())
-
-    def shortest_distance(self, u: int, v: int) -> float:
-        """Length of the shortest directed path u -> v, or math.inf."""
-        return self.distances_from(u)[self._check_node(v)]
-
-    def distances_from(self, u: int) -> list[float]:
-        """BFS distances from u to every node (math.inf when unreachable)."""
-        return _distances(self._indptr, self._heads, self._check_node(u)).tolist()
+    # ---- distances --------------------------------------------------------
 
     def distances_to(self, v: int) -> list[float]:
         """BFS distances from every node to v, via reverse edges."""

@@ -23,12 +23,16 @@ entries in the same order as in its own graph's matrix, and every other
 operation is elementwise, so each block's iterates are bit-identical to a
 lone solve. One `np.maximum.reduceat` gives each block's max-norm
 residual. A block is frozen at its own first in-tolerance iterate (its
-scores copied out, its residual history cut there) while the rest iterate
-on, so its result equals a lone solve's exactly.
+scores copied out) while the rest iterate on, so its result equals a lone
+solve's exactly. Only the final residual is kept, not a history.
+
+That loop, `_iterate(m, alpha, b, ...)` for x <- alpha * (m @ x) + b, is
+the package's one fixed-point loop: the absorbing solves of `flow` run on
+it too, as a single block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,7 +91,6 @@ class PageRankVector:
     residual: float
     converged: bool
     flagged_alpha_one: bool = False
-    residual_history: list[float] = field(default_factory=list, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -120,54 +123,50 @@ def compute_pageranks(graphs, cfg: PageRankConfig = PageRankConfig()) -> list[Pa
     starts = np.concatenate(([0], np.cumsum(sizes)))
     m = _block_diagonal([g.transition_matrix() for g in graphs], starts)
     jump = np.repeat((1.0 - alpha) / sizes, sizes)
-    p = np.repeat(1.0 / sizes, sizes)
+    solved = _iterate(m, alpha, jump, np.repeat(1.0 / sizes, sizes), starts, cfg.tolerance, cfg.max_iterations)
+    out = []
+    for scores, iterations, residual, converged in solved:
+        # alpha = 1 is allowed only under a hard cutoff; the last iterate comes
+        # back flagged rather than failing.
+        if not converged and alpha < 1.0:
+            raise ConvergenceError(
+                f"pagerank did not converge in {cfg.max_iterations} iterations "
+                f"(last residual {residual:.3e}, tolerance {cfg.tolerance:.3e})",
+                residual=residual,
+            )
+        out.append(PageRankVector(scores, alpha, iterations, residual, converged, flagged_alpha_one=alpha >= 1.0))
+    return out
+
+
+def _iterate(m, alpha: float, b: np.ndarray, x0: np.ndarray, starts: np.ndarray, tolerance: float, max_iterations: int):
+    """Run x <- alpha * (m @ x) + b from x0 over the blocks that `starts`
+    marks (block k is x[starts[k]:starts[k + 1]]; m must not mix blocks).
+
+    Returns one (x_k, iterations, residual, converged) per block: the first
+    iterate whose max-norm step is within tolerance, or, for a block cut off
+    at max_iterations, the last iterate and the last step.
+    """
     # A block's own tolerance, -inf once it is frozen at its first in-tolerance
     # iterate; residuals are never negative, so a frozen block never hits again.
-    tol = np.full(len(graphs), cfg.tolerance, dtype=float)
-    iterations = np.zeros(len(graphs), dtype=np.int64)
-    scores: list[np.ndarray | None] = [None] * len(graphs)
-    history: list[np.ndarray] = []  # per iteration, each block's residual
-    for it in range(1, cfg.max_iterations + 1):
-        nxt = alpha * (m @ p) + jump
-        resid = np.maximum.reduceat(np.abs(nxt - p), starts[:-1])
-        history.append(resid)
+    tol = np.full(len(starts) - 1, tolerance, dtype=float)
+    resid = np.full(len(tol), np.inf)
+    solved: list[tuple | None] = [None] * len(tol)
+    x = x0
+    for it in range(1, max_iterations + 1):
+        nxt = alpha * (m @ x) + b
+        resid = np.maximum.reduceat(np.abs(nxt - x), starts[:-1])
         hit = resid <= tol
         if hit.any():
-            for b in np.flatnonzero(hit):
-                scores[b] = p[starts[b]:starts[b + 1]].copy()
-                iterations[b] = it
+            for k in np.flatnonzero(hit):
+                solved[k] = (x[starts[k]:starts[k + 1]].copy(), it, float(resid[k]), True)
             tol[hit] = -np.inf
-            if iterations.all():
+            if tol.max() < 0:
                 break
-        p = nxt
-    history = np.array(history)
-    out = []
-    for b, s in enumerate(scores):
-        if s is None:
-            if alpha < 1.0:
-                last = float(history[-1, b])
-                raise ConvergenceError(
-                    f"pagerank did not converge in {cfg.max_iterations} iterations "
-                    f"(last residual {last:.3e}, tolerance {cfg.tolerance:.3e})",
-                    residual=last,
-                )
-            # alpha = 1 is allowed only under a hard cutoff; hand back the last
-            # iterate, flagged, rather than failing.
-            s = p[starts[b]:starts[b + 1]].copy()
-            iterations[b] = cfg.max_iterations
-        its = int(iterations[b])
-        out.append(
-            PageRankVector(
-                scores=s,
-                alpha=alpha,
-                iterations=its,
-                residual=float(history[its - 1, b]),
-                converged=scores[b] is not None,
-                flagged_alpha_one=alpha >= 1.0,
-                residual_history=history[:its, b].tolist(),
-            )
-        )
-    return out
+        x = nxt
+    return [
+        s or (x[starts[k]:starts[k + 1]].copy(), max_iterations, float(resid[k]), False)
+        for k, s in enumerate(solved)
+    ]
 
 
 def _block_diagonal(mats, starts: np.ndarray) -> sp.csr_matrix:

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from linkbomb import (
+    ConvergenceError,
     DirectedMultigraph,
     FlowQuery,
     GeneratorConfig,
@@ -68,6 +69,20 @@ def test_flow_with_oracle(graph_file):
     assert abs(float(row["fraction"]) - float(row["oracle_fraction"])) <= float(
         row["oracle_tail_bound"]
     ) + 1e-10
+
+
+def test_flow_takes_the_solver_limits(tmp_path):
+    # walks from 1 to 0 circle 1 -> 2 -> 1 any number of times
+    g = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 1), (2, 0)])
+    path, out = tmp_path / "loop.el", tmp_path / "flow.csv"
+    save_edgelist(g, path)
+    args = ["flow", "--graph", str(path), "--alpha", "0.85", "--source", "1", "--target", "0"]
+    with pytest.raises(ConvergenceError, match="absorbing solve did not converge in 1 iterations"):
+        main(args + ["--max-iter", "1"])
+    assert main(args + ["--tol", "1e-3", "--out", str(out)]) == 0
+    coarse = flow_fraction(g, FlowQuery(1, 0, alpha=0.85), 1e-3).fraction
+    assert coarse != flow_fraction(g, FlowQuery(1, 0, alpha=0.85)).fraction
+    assert out.read_text() == f"fraction\n{coarse}\n"
 
 
 def test_attack_row(graph_file):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linkbomb import (
+    ConvergenceError,
     DirectedMultigraph,
     FlowQuery,
     PageRankConfig,
@@ -16,8 +17,8 @@ from linkbomb import (
     length_flow,
 )
 
-from linkbomb.flow import _has_cycle
-from util import admissible_shortest_len, small_random_graph
+from linkbomb.flow import _absorbing_values, _has_cycle
+from util import ReferenceMultigraph, admissible_shortest_len, reference_absorbing_values, small_random_graph
 
 TWO_CYCLE = DirectedMultigraph.from_edges(2, [(0, 1), (1, 0)])
 CHAIN = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2)])
@@ -189,7 +190,7 @@ def test_length_flow_attenuation_bound(seed, l):
     assert total <= alpha**l + 1e-12
     # equality iff the previous level was tight and nothing dangles there
     _, prev = length_flow(g, source, l - 1, alpha) if l > 1 else (None, 1.0)
-    level = g.k_neighborhood(source, l - 1)
+    level = ReferenceMultigraph.from_edges(g.node_count, list(g.edges())).k_neighborhood(source, l - 1)
     if abs(prev - alpha ** (l - 1)) < 1e-12 and all(g.out_degree(u) > 0 for u in level):
         assert total == pytest.approx(alpha**l, abs=1e-12)
 
@@ -200,3 +201,43 @@ def test_query_validation():
     g = DirectedMultigraph(2)
     with pytest.raises(ValueError):
         flow_fraction(g, FlowQuery(0, 5, frozenset(), alpha=0.5))
+
+
+@st.composite
+def absorbing_problems(draw):
+    """A graph of 1-10 nodes, 1-3 pinned nodes (dangling ones included) and
+    a zero set that may overlap them or be empty."""
+    n = draw(st.integers(1, 10))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, max(n - 2, 0)), st.integers(1, 3))
+    rows = draw(st.lists(edge, max_size=3 * n))
+    g = DirectedMultigraph.from_edges(n, [(u, v + (v >= u), m) for u, v, m in rows] if n > 1 else [])
+    nodes = st.integers(0, n - 1)
+    pinned = draw(st.lists(nodes, min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        g = g._splice(pinned)  # the pinned nodes dangle, as in the disguise y-solve
+    zeros = draw(st.frozensets(nodes, max_size=3) | st.just(frozenset(pinned[:1])))
+    return g, pinned, zeros
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    absorbing_problems(),
+    st.sampled_from([0.0, 0.5, 0.85, 0.95, 1.0]),
+    st.sampled_from([1e-12, 1e-4]),
+    st.sampled_from([1, 5, 60, 2000]),
+)
+def test_absorbing_values_equal_reference_loop(problem, alpha, tolerance, max_iterations):
+    g, pinned, zeros = problem
+    args = (g, pinned, zeros, alpha, tolerance, max_iterations)
+    try:
+        want = reference_absorbing_values(*args)
+    except ConvergenceError as ref:
+        with pytest.raises(ConvergenceError) as err:
+            _absorbing_values(*args)
+        assert str(err.value) == str(ref)
+        assert err.value.residual == ref.residual
+        return
+    h, resid, iterations = _absorbing_values(*args)
+    assert h.dtype == want[0].dtype
+    assert h.tobytes() == want[0].tobytes()
+    assert (resid, iterations) == want[1:]

@@ -294,33 +294,6 @@ class ReferenceMultigraph:
             frontier = {w for u in frontier for (w, _m) in out_adj[u]}
         return frontier
 
-    def shortest_distance(self, u: int, v: int) -> float:
-        """Length of the shortest directed path u -> v, or math.inf."""
-        u = self._check_node(u)
-        v = self._check_node(v)
-        if u == v:
-            return 0
-        out_adj = self._adjacency()[0]
-        seen = {u}
-        frontier = [u]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for x in frontier:
-                for (w, _m) in out_adj[x]:
-                    if w == v:
-                        return dist
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return math.inf
-
-    def distances_from(self, u: int) -> list[float]:
-        """BFS distances from u to every node (math.inf when unreachable)."""
-        return self._bfs(u, self._adjacency()[0])
-
     def distances_to(self, v: int) -> list[float]:
         """BFS distances from every node to v, via reverse edges."""
         return self._bfs(v, self._adjacency()[1])
@@ -455,12 +428,10 @@ def reference_compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = Page
     m = g.transition_matrix()
     jump = (1.0 - alpha) / n
     p = np.full(n, 1.0 / n)
-    history: list[float] = []
     resid = np.inf
     for it in range(1, cfg.max_iterations + 1):
         nxt = alpha * (m @ p) + jump
         resid = float(np.max(np.abs(nxt - p)))
-        history.append(resid)
         if resid <= cfg.tolerance:
             return PageRankVector(
                 scores=p,
@@ -469,7 +440,6 @@ def reference_compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = Page
                 residual=resid,
                 converged=True,
                 flagged_alpha_one=alpha >= 1.0,
-                residual_history=history,
             )
         p = nxt
     if alpha >= 1.0:
@@ -482,11 +452,36 @@ def reference_compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = Page
             residual=resid,
             converged=False,
             flagged_alpha_one=True,
-            residual_history=history,
         )
     raise ConvergenceError(
         f"pagerank did not converge in {cfg.max_iterations} iterations "
         f"(last residual {resid:.3e}, tolerance {cfg.tolerance:.3e})",
+        residual=resid,
+    )
+
+
+def reference_absorbing_values(g: DirectedMultigraph, pinned, zero_nodes, alpha, tolerance, max_iterations):
+    """The absorbing solve's own Jacobi loop, pinned and zeroed entries
+    overwritten after every step: the oracle for `flow._absorbing_values`."""
+    n = g.node_count
+    r = g.forward_matrix()
+    pinned = np.asarray(pinned, dtype=np.intp)
+    zeros = np.setdiff1d(np.fromiter(zero_nodes, dtype=np.intp), pinned)
+    h = np.zeros(n)
+    h[pinned] = 1.0
+    resid = np.inf
+    for it in range(1, max_iterations + 1):
+        nxt = alpha * (r @ h)
+        nxt[pinned] = 1.0
+        if len(zeros):
+            nxt[zeros] = 0.0
+        resid = float(np.max(np.abs(nxt - h)))
+        if resid <= tolerance:
+            return h, resid, it
+        h = nxt
+    raise ConvergenceError(
+        f"absorbing solve did not converge in {max_iterations} iterations "
+        f"(last residual {resid:.3e})",
         residual=resid,
     )
 
