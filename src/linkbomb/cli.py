@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .experiment import (
 from .flow import FlowQuery, flow_fraction, flow_fraction_bruteforce
 from .generators import MODELS, GeneratorConfig, generate
 from .graph import load_edgelist, save_edgelist
-from .pagerank import PageRankConfig, compute_pagerank
+from .pagerank import MAX_ITERATIONS, PageRankConfig, compute_pagerank
 
 
 def _node_list(text: str) -> list[int]:
@@ -152,11 +153,15 @@ def _cmd_hist(args):
 def _add_solver_opts(p):
     p.add_argument("--alpha", type=float, required=True, help="navigation probability")
     p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance (max-norm)")
-    p.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=MAX_ITERATIONS, dest="max_iter")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call (parse_args leaves it unchanged): a fresh one per call
+    costs about a millisecond and leaves cyclic garbage behind."""
     parser = argparse.ArgumentParser(prog="linkbomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

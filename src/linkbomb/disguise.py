@@ -36,7 +36,7 @@ import numpy as np
 from .attacks import AttackResult, AttackSpec, _measure, apply_attack, attack_magnitude
 from .flow import _absorbing_values
 from .graph import DirectedMultigraph
-from .pagerank import PageRankConfig, compute_pagerank
+from .pagerank import MAX_ITERATIONS, PageRankConfig, _check_alpha, compute_pagerank
 
 __all__ = [
     "ForwardValueMap",
@@ -77,7 +77,6 @@ class DisguisedAttackPlan:
 
 
 _TOLERANCE = 1e-12
-_MAX_ITERATIONS = 100_000
 
 
 def forward_values(
@@ -85,11 +84,10 @@ def forward_values(
     target: int,
     alpha: float,
     tolerance: float = _TOLERANCE,
-    max_iterations: int = _MAX_ITERATIONS,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> ForwardValueMap:
     target = g._check_node(target)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     h, resid, _it = _absorbing_values(g, (target,), frozenset(), alpha, tolerance, max_iterations)
     return ForwardValueMap(target=target, values=h, alpha=alpha, residual=resid)
 
@@ -221,7 +219,7 @@ def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg
     """
     n, alpha = staged.node_count, cfg.alpha
     eps = np.finfo(float).eps
-    tolerance, max_iterations = limits or (_TOLERANCE, _MAX_ITERATIONS)
+    tolerance, max_iterations = limits or (_TOLERANCE, MAX_ITERATIONS)
     fwd = forward_values(staged, victim, alpha, tolerance, max_iterations)
     y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, tolerance, max_iterations)
     f = fwd.values

@@ -30,7 +30,7 @@ import numpy as np
 
 from .attacks import apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
-from .pagerank import PageRankConfig, PageRankVector, compute_pagerank, compute_pageranks, rank_of
+from .pagerank import MAX_ITERATIONS, PageRankConfig, PageRankVector, compute_pagerank, compute_pageranks, rank_of
 
 __all__ = [
     "SelectionRule",
@@ -130,7 +130,7 @@ class ExperimentConfig:
     victim_selection: SelectionRule = SelectionRule()
     master_seed: int = 0
     tolerance: float = 1e-12
-    max_iterations: int = 10_000
+    max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import DirectedMultigraph
-from .pagerank import ConvergenceError, _iterate
+from .pagerank import MAX_ITERATIONS, ConvergenceError, _check_alpha, _iterate
 
 __all__ = [
     "FlowQuery",
@@ -53,8 +53,7 @@ class FlowQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "excluded", frozenset(self.excluded))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass
@@ -110,7 +109,7 @@ def flow_fraction(
     g: DirectedMultigraph,
     q: FlowQuery,
     tolerance: float = 1e-12,
-    max_iterations: int = 100_000,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> FlowResult:
     """Exact flow fraction via the absorbing linear solve.
 
@@ -237,8 +236,7 @@ def length_flow(
     g._check_node(source)
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     m = g.transition_matrix()
     d = np.zeros(g.node_count)
     d[source] = p_source

@@ -9,16 +9,15 @@ instances can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
-import operator
 from pathlib import Path
-from typing import Iterator, Mapping, NoReturn
+from typing import Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "MAX_NODES",
     "DirectedMultigraph",
     "load_edgelist",
     "loads_edgelist",
@@ -285,6 +284,14 @@ class DirectedMultigraph:
 # "# nodes N" directive (so isolated trailing nodes survive a round trip) and
 # orders edges by (u, v).
 
+MAX_NODES = 10_000_000  # largest node count a "# nodes N" directive or a node id may give
+_MAX_DIGITS = 18  # every field of at most 18 digits fits in int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+_PLAIN = np.zeros(256, dtype=bool)  # the bytes a plain text may hold outside comments
+_PLAIN[list(b"0123456789 \t\n")] = True
+_CONTROL = np.ones(256, dtype=bool)  # the bytes a plain text may not hold even in comments
+_CONTROL[[*b"\t\n", *range(32, 128)]] = False
+
 
 def dumps_edgelist(g: DirectedMultigraph) -> str:
     lines = [f"# nodes {g.node_count}"]
@@ -295,89 +302,135 @@ def dumps_edgelist(g: DirectedMultigraph) -> str:
 def loads_edgelist(text: str) -> DirectedMultigraph:
     """Parse the edge-list format; the first malformed line fails with its number.
 
-    A repeated "# nodes N" directive must agree with the first. The text is
-    split and its fields go through int() in bulk; only lines holding a '#'
-    are read one at a time, and a per-line scan runs only to name the line
-    once a bulk check has failed.
+    A repeated "# nodes N" directive must agree with the first, and the
+    node count, declared or one past the largest id, is at most MAX_NODES.
+    Plain text (every byte outside comments an ASCII digit, space, tab or
+    newline) is parsed on its bytes by `_parse_plain`. Any other text, and
+    plain text with a row of other than 2 or 3 fields, a field of more than
+    18 digits or a faulty directive, is parsed line by line by
+    `_parse_lines`.
     """
-    lines = text.splitlines()
-    declared, fault = _strip_comments(lines)
-    fields = list(map(str.split, lines))
-    del lines
-    counts = np.fromiter(map(len, fields), dtype=np.int64, count=len(fields))
-    flat = None
-    if not np.any((counts == 1) | (counts > 3)):
-        with contextlib.suppress(ValueError, OverflowError):
-            tokens = map(int, itertools.chain.from_iterable(fields))
-            flat = np.fromiter(tokens, dtype=np.int64, count=int(counts.sum()))
-    del fields
-    if flat is None or fault:
-        _raise_first_fault(text, fault)
-    if declared is None and not len(flat):
+    cols = _parse_plain(text)
+    if cols is None:
+        cols = _parse_lines(text)
+    declared, tails, heads, mult, lines = cols
+    if declared is None and not len(tails):
         raise ValueError("empty edge list with no '# nodes N' directive")
-    rows = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[rows]
-    tails, heads = flat[starts], flat[starts + 1]
-    mult = np.ones(len(rows), dtype=np.int64)
-    triple = counts[rows] == 3
-    mult[triple] = flat[starts[triple] + 2]
-    n = declared if declared is not None else max(int(np.maximum(tails, heads).max()) + 1, 1)
-    return DirectedMultigraph(n, _coalesce(n, tails, heads, mult, rows + 1))
+    if declared is not None:
+        n = declared[0]
+    else:  # an id past the limit fails _coalesce's range check with its line
+        n = min(max(int(np.maximum(tails, heads).max()) + 1, 1), MAX_NODES)
+    return DirectedMultigraph(n, _coalesce(n, tails, heads, mult, lines))
 
 
-def _strip_comments(lines: list[str]) -> tuple[int | None, tuple[int, str] | None]:
-    """Cut the comment off every line holding a '#', in place, and read the
-    "# nodes N" directives (comment lines with nothing before the '#').
+def _directive(lineno: int, raw: str, word: str, declared: tuple[int, int] | None) -> tuple[int, int]:
+    """Check the "# nodes N" directive on line `lineno`, N spelled `word`,
+    against the one before it, (count, line) or None; return (N, lineno)."""
+    try:
+        n = int(word)
+    except ValueError:
+        raise ValueError(f"line {lineno}: node count must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ValueError(f"line {lineno}: node count must be >= 1, got {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"line {lineno}: node count must be <= {MAX_NODES}, got {n}")
+    if declared is not None and n != declared[0]:
+        raise ValueError(f"line {lineno}: '# nodes {n}' conflicts with '# nodes {declared[0]}' on line {declared[1]}")
+    return n, lineno
 
-    Returns the declared node count (None without a directive) and the
-    first faulty directive as (line number, message), or None.
+
+def _parse_plain(text: str):
+    """(declared, tails, heads, multiplicities, line numbers) of a plain
+    text, or None when it needs the per-line path; it never raises.
+
+    Comments are found with bytes.find and blanked; their directives go
+    through `_directive`, and a faulty one sends the text to the per-line
+    path, which reports the first fault. Digit runs are marked on the byte
+    array and each run's value is one np.add.reduceat over digit * 10**k;
+    a field's line is the number of newlines before it, plus one.
     """
-    declared = fault = None
-    hashed = np.fromiter(map(operator.contains, lines, itertools.repeat("#")), dtype=bool, count=len(lines))
-    for i in np.flatnonzero(hashed).tolist():
-        raw = lines[i]
-        lines[i], _, comment = raw.partition("#")
-        words = comment.split()
-        if fault or lines[i].split() or len(words) != 2 or words[0] != "nodes":
-            continue
-        lineno = i + 1
-        try:
-            n = int(words[1])
-        except ValueError:
-            fault = (lineno, f"line {lineno}: node count must be an integer, got {raw!r}")
-            continue
-        if n < 1:
-            fault = (lineno, f"line {lineno}: node count must be >= 1, got {n}")
-        elif declared is not None and n != declared:
-            conflict = f"'# nodes {n}' conflicts with '# nodes {declared}' on line {declared_at}"
-            fault = (lineno, f"line {lineno}: {conflict}")
-        else:
-            declared, declared_at = n, lineno
-    return declared, fault
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    declared = None
+    pos = raw.find(b"#")
+    if pos >= 0:
+        if _CONTROL[buf].any():
+            return None
+        blanked = bytearray(raw)
+        while pos >= 0:
+            end = raw.find(b"\n", pos)
+            end = len(raw) if end < 0 else end
+            blanked[pos:end] = b" " * (end - pos)
+            start = raw.rfind(b"\n", 0, pos) + 1
+            words = text[pos + 1:end].split()
+            if not text[start:pos].split() and len(words) == 2 and words[0] == "nodes":
+                try:
+                    declared = _directive(int(np.searchsorted(newlines, pos)) + 1, text[start:end], words[1], declared)
+                except ValueError:
+                    return None
+            pos = raw.find(b"#", end)
+        buf = np.frombuffer(blanked, dtype=np.uint8)
+    if not _PLAIN[buf].all():
+        return None
+    digit = buf - np.uint8(48)
+    is_digit = digit < 10
+    edge = np.diff(is_digit.view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    del edge
+    lengths = ends - starts
+    if len(lengths) and lengths.max() > _MAX_DIGITS:
+        return None
+    at = np.flatnonzero(is_digit)
+    power = np.repeat(ends - 1, lengths)
+    power -= at
+    fields = np.add.reduceat(_POW10[power] * digit[at], np.cumsum(lengths) - lengths) if len(at) else at
+    del at, power
+    line = np.searchsorted(newlines, starts)
+    first = np.flatnonzero(np.diff(line, prepend=-1))
+    count = np.diff(first, append=len(line))
+    if np.any((count < 2) | (count > 3)):
+        return None
+    mult = np.ones(len(first), dtype=np.int64)
+    triple = count == 3
+    mult[triple] = fields[first[triple] + 2]
+    return declared, fields[first], fields[first + 1], mult, line[first] + 1
 
 
-def _raise_first_fault(text: str, fault: tuple[int, str] | None) -> NoReturn:
-    """Name the first faulty line once a bulk field check or a directive
-    has failed.
+def _parse_lines(text: str):
+    """`_parse_plain`'s columns for any text, one line at a time.
 
-    A bad field count or a non-integer field wins if it comes before the
-    faulty directive `fault`; then comes that directive; last, the first row
-    with a field outside int64.
+    Fields go through int(), so forms such as "+3" and "1_0" parse. Fails
+    on the first line with a bad field count, a non-integer field or a
+    faulty directive; after that, on the first row with a field outside
+    int64.
     """
-    out_of_range = None
-    for lineno, raw in enumerate(text.splitlines()[: fault[0] if fault else None], start=1):
-        parts = raw.partition("#")[0].split()
+    declared = None
+    rows: list[list[int]] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body, hashed, comment = raw.partition("#")
+        parts = body.split()
         if not parts:
+            words = comment.split()
+            if hashed and len(words) == 2 and words[0] == "nodes":
+                declared = _directive(lineno, raw, words[1], declared)
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v [multiplicity]', got {raw!r}")
         try:
-            row = [int(x) for x in parts] + [1] * (3 - len(parts))
+            rows.append([int(x) for x in parts] + [1] * (3 - len(parts)))
         except ValueError:
             raise ValueError(f"line {lineno}: fields must be integers, got {raw!r}") from None
-        if out_of_range is None and not all(-(2**63) <= x < 2**63 for x in row):
-            out_of_range = f"line {lineno}: field out of range in {row}"
-    raise ValueError(fault[1] if fault else out_of_range)
+        linenos.append(lineno)
+    try:
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not all(-(2**63) <= x < 2**63 for x in row))
+        raise ValueError(f"line {linenos[i]}: field out of range in {rows[i]}") from None
+    return declared, cols[:, 0], cols[:, 1], cols[:, 2], np.array(linenos, dtype=np.int64)
 
 
 def save_edgelist(g: DirectedMultigraph, path) -> None:

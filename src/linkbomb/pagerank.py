@@ -40,6 +40,7 @@ import scipy.sparse as sp
 from .graph import DirectedMultigraph
 
 __all__ = [
+    "MAX_ITERATIONS",
     "PageRankConfig",
     "PageRankVector",
     "ConvergenceError",
@@ -49,6 +50,14 @@ __all__ = [
     "verify_sum_identity",
     "rank_of",
 ]
+
+
+MAX_ITERATIONS = 100_000  # default iteration cap of every solve, in the library and the CLI
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
 class ConvergenceError(RuntimeError):
@@ -63,11 +72,10 @@ class ConvergenceError(RuntimeError):
 class PageRankConfig:
     alpha: float = 0.85
     tolerance: float = 1e-12
-    max_iterations: int = 10_000
+    max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.tolerance <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -198,8 +206,7 @@ def closed_form_isolated(pattern: str, k: int, alpha: float) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     p0 = (1.0 - alpha) / (k + 1)
     if pattern == "individual":
         return p0 * (1.0 + alpha * k)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from linkbomb import (
     rank_of,
     save_edgelist,
 )
-from linkbomb.cli import main
+from linkbomb.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -83,6 +84,16 @@ def test_flow_takes_the_solver_limits(tmp_path):
     coarse = flow_fraction(g, FlowQuery(1, 0, alpha=0.85), 1e-3).fraction
     assert coarse != flow_fraction(g, FlowQuery(1, 0, alpha=0.85)).fraction
     assert out.read_text() == f"fraction\n{coarse}\n"
+
+
+def test_flow_default_cap_matches_library(tmp_path):
+    # walks from 1 to 0 circle 1 -> 2 -> 1 ~1000 times; at alpha = 0.999 the
+    # absorbing solve needs more than 10000 iterations
+    g = DirectedMultigraph.from_edges(3, [(1, 2), (2, 0), (2, 1, 999)])
+    path, out = tmp_path / "slow.el", tmp_path / "flow.csv"
+    save_edgelist(g, path)
+    main(["flow", "--graph", str(path), "--alpha", "0.999", "--source", "1", "--target", "0", "--out", str(out)])
+    assert out.read_text() == f"fraction\n{flow_fraction(g, FlowQuery(1, 0, alpha=0.999)).fraction}\n"
 
 
 def test_attack_row(graph_file):
@@ -167,3 +178,34 @@ def test_cli_import_leaves_csgraph_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_one_parser_per_process(graph_file, tmp_path):
+    assert build_parser() is build_parser()
+    out = tmp_path / "hist.csv"
+    main(["hist", "--graph", str(graph_file), "--alpha", "0.85", "--bins", "7", "--out", str(out)])
+    assert len(out.read_text().splitlines()) == 1 + 7
+    main(["hist", "--graph", str(graph_file), "--alpha", "0.85", "--out", str(out)])
+    assert len(out.read_text().splitlines()) == 1 + 50
+
+
+def test_parser_survives_a_usage_error(graph_file, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["pagerank", "--graph", str(graph_file)])  # --alpha is required
+    with pytest.raises(SystemExit):
+        main(["attack", "--graph", str(graph_file), "--alpha", "0.85", "--victim", "0", "--attackers", "1",
+              "--pattern", "ring"])
+    capsys.readouterr()
+    out = tmp_path / "pr.csv"
+    assert main(["pagerank", "--graph", str(graph_file), "--alpha", "0.85", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 25
+
+
+def test_cli_call_leaves_no_cyclic_garbage(tmp_path):
+    path, out = tmp_path / "g.el", tmp_path / "pr.csv"
+    save_edgelist(DirectedMultigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (3, 0)]), path)
+    argv = ["pagerank", "--graph", str(path), "--alpha", "0.85", "--out", str(out)]
+    main(argv)
+    gc.collect()
+    main(argv)
+    assert gc.collect() == 0

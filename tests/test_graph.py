@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import linkbomb.graph
-from linkbomb import AttackSpec, DirectedMultigraph, apply_attack, dumps_edgelist, load_edgelist, loads_edgelist
+from linkbomb import (
+    AttackSpec,
+    DirectedMultigraph,
+    GeneratorConfig,
+    apply_attack,
+    dumps_edgelist,
+    generate,
+    load_edgelist,
+    loads_edgelist,
+)
+from linkbomb.graph import MAX_NODES
 
 from util import (
     ReferenceMultigraph,
@@ -344,6 +354,104 @@ def test_loads_edgelist_reports_the_first_of_several_faults():
         if rng.random() < 0.5:
             lines.insert(0, "# nodes 7")
         _same_parse("\n".join(lines) + "\n")
+
+
+# ---- byte path ----------------------------------------------------------------------
+
+# Fields past 18 digits go to the per-line path. Without a directive the node
+# count is one past the largest id, so values inside int64 but far past the
+# node limit appear only under a leading directive: the reference parser has
+# no limit and would try to allocate them.
+_LONG = ("0000000000000000000007", str(2**63), "12345678901234567890123")
+_LONG_DECLARED = _LONG + ("999999999999999999", "1000000000000000000", str(2**63 - 1))
+_PLAIN_GAPS = st.sampled_from([" ", "\t", "  ", " \t "])
+_PLAIN_KINDS = st.sampled_from(("edge",) * 24 + ("odd", "directive", "directive", "comment", "blank"))
+_SMALL = tuple("0123456789") + ("00", "03", "007")
+
+
+@st.composite
+def _plain_line(draw, field) -> str:
+    kind = draw(_PLAIN_KINDS)
+    if kind == "blank":
+        return draw(st.sampled_from(("", " ", "\t")))
+    if kind == "comment":
+        return draw(st.sampled_from(("#", "# a note", " # 1 2", "#nodes", "# nodes", "# nodes 8 # twice")))
+    if kind == "directive":
+        lead = draw(st.sampled_from(("# nodes ", "#\tnodes ", " # nodes  ")))
+        return lead + draw(st.sampled_from(("8",) * 4 + ("008", "+8", "3", "0", "many")))
+    size = draw(st.sampled_from((2, 2, 3))) if kind == "edge" else draw(st.sampled_from((1, 4)))
+    fields = [draw(field) for _ in range(size)]
+    line = draw(st.sampled_from(("", " ", "\t"))) + draw(_PLAIN_GAPS).join(fields)
+    return line + draw(st.sampled_from(("", "", " ", "  # trailing", "#3 4", " # nodes 3")))
+
+
+@st.composite
+def _plain_text(draw) -> str:
+    declared = draw(st.booleans())
+    field = st.sampled_from(_SMALL * 24 + (_LONG_DECLARED if declared else _LONG))
+    lines = draw(st.lists(_plain_line(field), max_size=10))
+    text = "\n".join((["# nodes 8"] if declared else []) + lines)
+    return text + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=1000)
+@given(_plain_text())
+def test_plain_text_matches_line_by_line_reference(text):
+    event("byte path" if linkbomb.graph._parse_plain(text) is not None else "per-line path")
+    _same_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# nodes 3\n0 1\n1 2 3 # c\n\t2\t0", "0 1", "# nodes 2\n", "#x\x7f\n0 1\n", "0 " + "0" * 17 + "1\n", ""],
+)
+def test_plain_text_takes_the_byte_path(text):
+    assert linkbomb.graph._parse_plain(text) is not None
+    _same_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "+3 1\n", "1_0 2\n", "1\xa02\n", "0 1\r\n", "\u0663 1\n", "0\n", "0 1 2 3\n", "0 " + "0" * 18 + "1\n",
+        "# nodes x\n0 1\n", "# nodes 4\r\n0 1\n", "# nodes 2\n0 1\n# nodes 3\n", "# nodes\x0b4\n0 1\n",
+    ],
+)
+def test_other_text_takes_the_per_line_path(text):
+    assert linkbomb.graph._parse_plain(text) is None
+    _same_parse(text)
+
+
+def test_model_graphs_never_reach_the_per_line_path(monkeypatch):
+    calls = []
+    parse_lines = linkbomb.graph._parse_lines
+    monkeypatch.setattr(linkbomb.graph, "_parse_lines", lambda text: calls.append(text) or parse_lines(text))
+    graphs = [generate(GeneratorConfig(model, 60, seed=seed)) for model in ("random", "ba", "mwdta") for seed in (1, 2)]
+    graphs.append(DirectedMultigraph.from_edges(12, {(0, 11): 3, (10, 2): 1234567, (5, 4): 2}))
+    for g in graphs:
+        assert loads_edgelist(dumps_edgelist(g)) == g
+    assert calls == []
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_node_count_limit_names_the_line(monkeypatch, newline):
+    """Both paths reach the one directive check: the byte path meets the
+    fault and hands the plain text on; the per-line path raises it."""
+    calls = []
+    check, parse_lines = linkbomb.graph._directive, linkbomb.graph._parse_lines
+    monkeypatch.setattr(linkbomb.graph, "_directive", lambda *args: calls.append("check") or check(*args))
+    monkeypatch.setattr(linkbomb.graph, "_parse_lines", lambda text: calls.append("lines") or parse_lines(text))
+    text = newline.join(["0 1", f"# nodes {10**15}", "1 2"]) + newline
+    with pytest.raises(ValueError, match=rf"^line 2: node count must be <= {MAX_NODES}, got {10**15}$"):
+        loads_edgelist(text)
+    assert calls == (["check", "lines", "check"] if newline == "\n" else ["lines", "check"])
+
+
+@pytest.mark.parametrize("text", ["0 1\n2 10000000\n", "0 1\n2 1000000000000000\n", "0 1\n+2 10000000\n"])
+def test_node_ids_past_the_limit_name_the_line(text):
+    bad = text.split()[-1]
+    with pytest.raises(ValueError, match=rf"^line 2: node id {int(bad)} out of range \[0, {MAX_NODES}\)$"):
+        loads_edgelist(text)
 
 
 def test_load_edgelist_parses_through_the_module_function(tmp_path, monkeypatch):
