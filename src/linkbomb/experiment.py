@@ -30,7 +30,15 @@ import numpy as np
 
 from .attacks import apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
-from .pagerank import MAX_ITERATIONS, PageRankConfig, PageRankVector, compute_pagerank, compute_pageranks, rank_of
+from .pagerank import (
+    MAX_ITERATIONS,
+    PageRankConfig,
+    PageRankVector,
+    _check_limits,
+    compute_pagerank,
+    compute_pageranks,
+    rank_of,
+)
 
 __all__ = [
     "SelectionRule",
@@ -150,9 +158,12 @@ class ExperimentConfig:
                 raise ValueError(f"sweep alphas must satisfy 0 <= alpha < 1, got {a}")
         if "individual" not in self.attacks:
             raise ValueError("attack list must include 'individual' (discrepancy baseline)")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        _check_limits(self.tolerance, self.max_iterations)
 
 
-@dataclass
+@dataclass(slots=True)
 class AttackOutcome:
     pattern: str
     magnitude: float
@@ -164,7 +175,7 @@ class AttackOutcome:
     discrepancy_undefined: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     trial: int
     alpha: float

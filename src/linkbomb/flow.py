@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import DirectedMultigraph
-from .pagerank import MAX_ITERATIONS, ConvergenceError, _check_alpha, _iterate
+from .pagerank import MAX_ITERATIONS, ConvergenceError, _check_alpha, _check_limits, _iterate
 
 __all__ = [
     "FlowQuery",
@@ -84,6 +84,7 @@ def _absorbing_values(
     is at most residual / (1 - alpha); alpha = 1 converges only when the
     relevant walk families are finite.
     """
+    _check_limits(tolerance, max_iterations)
     r = g.forward_matrix()
     pinned = np.asarray(pinned, dtype=np.intp)
     fixed = np.zeros(g.node_count, dtype=bool)

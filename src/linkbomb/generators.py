@@ -3,12 +3,19 @@
 Three models:
 
   random -- directed Erdos-Renyi G(n, p): every ordered pair gets an
-            edge independently with probability p.
+            edge independently with probability p. Sampled by geometric
+            skipping over the n(n-1) ordered non-loop pairs (Batagelj &
+            Brandes, Phys. Rev. E 71, 2005): the gaps between hits are
+            drawn in bulk, so a graph costs O(n + E), not O(n^2).
   ba     -- directed preferential attachment: nodes arrive sequentially
             and send m out-edges to earlier nodes, drawn without
             replacement with probability proportional to in-degree + 1.
             All edges point backwards in arrival order, so the result is
-            acyclic, and in-degrees are power-law heavy.
+            acyclic, and in-degrees are power-law heavy. Sampled from a
+            repeated-endpoint array (Batagelj & Brandes) holding one
+            entry per node and one per earlier edge head: each node
+            draws uniform positions in it and rejects repeats, O(m)
+            expected work per node and O(n + E) per graph.
   mwdta  -- mixed-attachment web model in which every node keeps at
             least one out-edge: each arriving node draws its out-degree
             from a truncated power law (minimum 1) and attaches each
@@ -16,7 +23,11 @@ Three models:
             (in-degree + 1) otherwise. Compared with ba, the in-degree
             mass spreads over many mid-sized nodes instead of a few huge
             hubs. The construction is an approximation to that family of
-            models, not a calibrated fit.
+            models, not a calibrated fit. It still draws node by node
+            from a weight vector over all earlier nodes, O(n^2) per
+            graph.
+
+The random and ba edges reach the graph as arrays, in one CSR build.
 
 Setting target_expected_edges rescales a model to a desired expected
 edge count: analytically for random (p = target / n(n-1)), via
@@ -25,11 +36,12 @@ the required mean out-degree for mwdta.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph
+from .graph import DirectedMultigraph, _coalesce
 
 __all__ = ["GeneratorConfig", "generate", "gen_er", "gen_ba", "gen_mwdta"]
 
@@ -83,13 +95,26 @@ def gen_er(cfg: GeneratorConfig) -> DirectedMultigraph:
             raise ValueError("cannot target an edge count on a single node")
         p = min(1.0, cfg.target_expected_edges / (n * (n - 1)))
     rng = np.random.default_rng(cfg.seed)
-    edges: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        hits = np.flatnonzero(rng.random(n) < p)
-        for v in hits:
-            if v != u:
-                edges[(u, int(v))] = 1
-    return DirectedMultigraph.from_edges(n, edges)
+    # Pair k is (u, r + (r >= u)) with (u, r) = divmod(k, n - 1): the n(n-1)
+    # ordered non-loop pairs in row order. Between two hits of independent
+    # Bernoulli(p) trials lie Geometric(p) - 1 misses, floor(E / -log(1 - p))
+    # for an exponential E; the hits are the running sum of those skips + 1.
+    # Skips come in chunks of the expected hit count, so about half the
+    # graphs need a second chunk.
+    pairs = n * (n - 1)
+    hits = [np.zeros(0, dtype=np.int64)]
+    if p > 0.0 and pairs:
+        rate = -np.log1p(-p) if p < 1.0 else np.inf
+        chunk = int(pairs * p) + 1
+        last = -1
+        while last < pairs - 1:
+            skips = np.minimum(np.floor(rng.standard_exponential(chunk) / rate), pairs)
+            hits.append(last + np.cumsum(skips.astype(np.int64) + 1))
+            last = int(hits[-1][-1])
+    k = np.concatenate(hits)
+    k = k[k < pairs]
+    tails, r = np.divmod(k, n - 1)
+    return _build(n, tails, r + (r >= tails))
 
 
 def gen_ba(cfg: GeneratorConfig) -> DirectedMultigraph:
@@ -100,21 +125,31 @@ def gen_ba(cfg: GeneratorConfig) -> DirectedMultigraph:
     if n <= m:
         raise ValueError(f"ba model needs n > m, got n={n}, m={m}")
     rng = np.random.default_rng(cfg.seed)
-    edges: dict[tuple[int, int], int] = {}
-    indeg = np.zeros(n)
-    # Seed core: nodes 0..m, each pointing at all earlier nodes, so every
-    # later node has exactly m candidates' worth of history to attach to.
-    for i in range(1, m + 1):
-        for j in range(i):
-            edges[(i, j)] = 1
-            indeg[j] += 1
-    for i in range(m + 1, n):
-        w = indeg[:i] + 1.0
-        targets = rng.choice(i, size=m, replace=False, p=w / w.sum())
-        for t in targets:
-            edges[(i, int(t))] = 1
-            indeg[t] += 1
-    return DirectedMultigraph.from_edges(n, edges)
+    # Repeated-endpoint array: in arrival order, each node's own entry (the
+    # "+1") followed by the heads of its out-edges, so a uniform position in
+    # it picks node j with probability (in-degree(j) + 1) / length. Seed core:
+    # nodes 0..m, each pointing at all earlier nodes.
+    ends = [x for i in range(m + 1) for x in (i, *range(i))]
+    sizes = len(ends) + (m + 1) * np.arange(n - m - 1)  # length when node m + 1 + j draws
+    # Each node's targets are the first m distinct nodes of a stream of
+    # uniform positions, which has the law of drawing m without replacement
+    # with weights in-degree + 1. The first m + 1 positions of every stream are
+    # drawn in bulk; repeats past the spare one draw more.
+    draws = rng.integers(0, sizes[:, None], size=(n - m - 1, m + 1)).tolist()
+    for i, row in enumerate(draws, start=m + 1):
+        picked = dict.fromkeys([ends[x] for x in row])
+        while len(picked) < m:
+            picked[ends[int(rng.integers(len(ends)))]] = None
+        ends.append(i)
+        ends.extend(itertools.islice(picked, m))
+    out_degs = np.minimum(np.arange(n), m)
+    own = np.cumsum(out_degs + 1) - (out_degs + 1)  # positions of the nodes' own entries
+    return _build(n, np.repeat(np.arange(n), out_degs), np.delete(np.array(ends, dtype=np.int64), own))
+
+
+def _build(n: int, tails: np.ndarray, heads: np.ndarray) -> DirectedMultigraph:
+    """The simple graph on n nodes with edges tails[i] -> heads[i]."""
+    return DirectedMultigraph(n, _coalesce(n, tails, heads, np.ones(len(tails), dtype=np.int64)))
 
 
 def _powerlaw_mean(tau: float, d_max: int) -> float:

@@ -60,6 +60,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
+def _check_limits(tolerance: float, max_iterations: int) -> None:
+    """A solve's stopping rule: a positive tolerance (NaN never compares as
+    met, so it is refused here) and an integer iteration cap >= 1."""
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+
+
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solve does not reach tolerance."""
 
@@ -76,10 +87,7 @@ class PageRankConfig:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        _check_limits(self.tolerance, self.max_iterations)
 
 
 @dataclass

@@ -86,6 +86,14 @@ def test_flow_takes_the_solver_limits(tmp_path):
     assert out.read_text() == f"fraction\n{coarse}\n"
 
 
+def test_flow_rejects_a_nan_tolerance(tmp_path):
+    path = tmp_path / "path.el"
+    save_edgelist(DirectedMultigraph.from_edges(3, [(1, 2), (2, 0)]), path)
+    args = ["flow", "--graph", str(path), "--alpha", "0.85", "--source", "1", "--target", "0"]
+    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+        main(args + ["--tol", "nan", "--max-iter", "50"])
+
+
 def test_flow_default_cap_matches_library(tmp_path):
     # walks from 1 to 0 circle 1 -> 2 -> 1 ~1000 times; at alpha = 0.999 the
     # absorbing solve needs more than 10000 iterations

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from linkbomb import (
@@ -242,6 +243,100 @@ def test_experiment_config_validation():
         ExperimentConfig(generator=gen, n_attackers=2, alphas=(1.0,))
     with pytest.raises(ValueError):
         SelectionRule("quantile", 0.5, 0.2)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_iterations", 0, "max_iterations must be >= 1, got 0"),
+        ("tolerance", -1.0, "tolerance must be positive, got -1.0"),
+        ("tolerance", float("nan"), "tolerance must be positive, got nan"),
+        ("master_seed", -1, "master_seed must be >= 0, got -1"),
+    ],
+)
+def test_experiment_config_checks_solver_limits_and_seed(key, value, message):
+    # rejected when the config is built, not inside run_trial
+    gen = GeneratorConfig("random", 20, p=0.1)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(generator=gen, n_attackers=3, **{key: value})
+    with pytest.raises(ValueError, match=message):
+        parse_experiment_config(f"model = random\nn = 20\nn_attackers = 3\n{key} = {value}\n")
+
+
+_CONFIG_KEYS = sorted({*linkbomb.experiment._GENERATOR_KEYS, *linkbomb.experiment._EXPERIMENT_KEYS})
+_CONFIG_VALUES = [
+    "random", "ba", "mwdta", "20", "3", "0", "-1", "0.85", "0.5,0.95", "1.0", "nan", "inf", "1e-12",
+    "1e400", "2.5", "individual", "individual,cycle", "cycle", "uniform", "quantile:0.5:1.0",
+    "quantile:0.9:0.1", "quantile:0.1", "",
+]
+
+
+@st.composite
+def config_texts(draw):
+    """Text that is mostly `key = value` lines over the real keys and values,
+    with stray text, comments, duplicates and unknown keys mixed in."""
+    value = st.sampled_from(_CONFIG_VALUES) | st.integers(-3, 10**6).map(str) | st.floats().map(str) | st.text(max_size=8)
+    pair = st.tuples(st.sampled_from(_CONFIG_KEYS + ["widgets"]), value).map(lambda kv: f"{kv[0]} = {kv[1]}")
+    line = st.one_of(pair, pair, pair, pair, st.text(max_size=16), st.just("# comment"))
+    head = draw(st.sampled_from(["", "model = random\nn = 20\n", "model = ba\nn = 30\n", "n = 11\nmodel = mwdta\n"]))
+    return head + "\n".join(draw(st.lists(line, max_size=6)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(config_texts())
+def test_config_parser_gives_a_config_or_a_value_error(text):
+    try:
+        cfg = parse_experiment_config(text)
+    except ValueError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+def _config_text(cfg: ExperimentConfig) -> str:
+    gen = cfg.generator
+    values = {
+        "model": gen.model, "n": gen.n, "p": gen.p, "m": gen.m, "beta": gen.beta, "tau": gen.tau,
+        "d_max": gen.d_max, "target_edges": gen.target_expected_edges,
+        "alphas": ",".join(map(str, cfg.alphas)), "trials": cfg.trials, "n_attackers": cfg.n_attackers,
+        "attacks": ",".join(cfg.attacks), "attacker_selection": cfg.attacker_selection,
+        "victim_selection": cfg.victim_selection, "master_seed": cfg.master_seed,
+        "tolerance": cfg.tolerance, "max_iterations": cfg.max_iterations,
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
+
+
+@st.composite
+def experiment_configs(draw):
+    unit = st.floats(0.0, 1.0)
+    n = draw(st.integers(2, 10**6))
+    gen = GeneratorConfig(
+        draw(st.sampled_from(["random", "ba", "mwdta"])), n, p=draw(unit), m=draw(st.integers(1, 50)),
+        beta=draw(unit), tau=draw(st.floats(1.0, 10.0, exclude_min=True)), d_max=draw(st.integers(1, 100)),
+        target_expected_edges=draw(st.none() | st.floats(0.0, 1e12, exclude_min=True)),
+    )
+    bands = st.tuples(unit, unit).filter(lambda b: b[0] < b[1]).map(lambda b: SelectionRule("quantile", *b))
+    rules = st.just(SelectionRule()) | bands
+    others = draw(st.lists(st.sampled_from(["star", "tree", "cycle", "complete"]), unique=True))
+    return ExperimentConfig(
+        generator=gen,
+        alphas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))),
+        trials=draw(st.integers(1, 10**4)),
+        n_attackers=draw(st.integers(1, n - 1)),
+        attacks=tuple(draw(st.permutations(["individual", *others]))),
+        attacker_selection=draw(rules),
+        victim_selection=draw(rules),
+        master_seed=draw(st.integers(0, 2**64)),
+        tolerance=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        max_iterations=draw(st.integers(1, 10**7)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiment_configs(), st.randoms())
+def test_config_written_as_lines_parses_back_equal(cfg, rnd):
+    lines = _config_text(cfg).splitlines(keepends=True)
+    rnd.shuffle(lines)
+    assert parse_experiment_config("".join(lines)) == cfg
 
 
 def test_config_value_errors_name_line_and_key():

@@ -14,6 +14,7 @@ from linkbomb import (
     cycle_amplification,
     flow_fraction,
     flow_fraction_bruteforce,
+    forward_values,
     length_flow,
 )
 
@@ -201,6 +202,17 @@ def test_query_validation():
     g = DirectedMultigraph(2)
     with pytest.raises(ValueError):
         flow_fraction(g, FlowQuery(0, 5, frozenset(), alpha=0.5))
+
+
+@pytest.mark.parametrize("tolerance, max_iterations", [(float("nan"), 50), (0.0, 50), (1e-12, 0)])
+def test_absorbing_solves_reject_bad_limits(tolerance, max_iterations):
+    # a NaN tolerance is never met, so the solve would run to the cap and
+    # report a converged walk family as a failure
+    g = DirectedMultigraph.from_edges(3, [(1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="tolerance must be positive|max_iterations must be >= 1"):
+        flow_fraction(g, FlowQuery(1, 0, alpha=0.85), tolerance, max_iterations)
+    with pytest.raises(ValueError, match="tolerance must be positive|max_iterations must be >= 1"):
+        forward_values(g, 0, 0.85, tolerance, max_iterations)
 
 
 @st.composite

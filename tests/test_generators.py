@@ -1,7 +1,12 @@
+import itertools
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
 from linkbomb import DirectedMultigraph, GeneratorConfig, gen_ba, gen_er, gen_mwdta, generate
+
+from util import reference_gen_ba, reference_gen_er
 
 
 def test_er_p_zero_edgeless():
@@ -13,6 +18,89 @@ def test_er_p_one_complete():
     n = 12
     g = gen_er(GeneratorConfig("random", n, p=1.0, seed=1))
     assert g.edge_count == n * (n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_er_p_zero_and_one_equal_the_reference(n):
+    for p in (0.0, 1.0):
+        cfg = GeneratorConfig("random", n, p=p, seed=3)
+        assert gen_er(cfg) == reference_gen_er(cfg)
+
+
+@pytest.mark.parametrize("p, seeds", [(0.3, 2000), (0.02, 10000)])
+def test_er_pair_frequencies_match_p(p, seeds):
+    n = 4
+    counts = np.zeros((n, n))
+    for seed in range(seeds):
+        for u, v, _mult in gen_er(GeneratorConfig("random", n, p=p, seed=seed)).edges():
+            counts[u, v] += 1
+    assert np.diagonal(counts).sum() == 0
+    off = counts[~np.eye(n, dtype=bool)]
+    assert np.all(np.abs(off - seeds * p) <= 5 * np.sqrt(seeds * p * (1 - p)))
+    trials = seeds * len(off)
+    assert abs(off.sum() - trials * p) <= 5 * np.sqrt(trials * p * (1 - p))
+
+
+def _sampling_law(weights, m: int) -> dict[frozenset, float]:
+    """Exact law of the set of m draws without replacement, each draw
+    proportional to the weights of the items not yet drawn."""
+    law: dict[frozenset, float] = defaultdict(float)
+    for order in itertools.permutations(range(len(weights)), m):
+        pr, left = 1.0, float(sum(weights))
+        for j in order:
+            pr *= weights[j] / left
+            left -= weights[j]
+        law[frozenset(order)] += pr
+    return law
+
+
+def _ba_target_laws(n: int, m: int) -> dict[int, dict[frozenset, float]]:
+    """For each node past the seed core, the exact law of its target set,
+    by enumerating every history of successive sampling ∝ in-degree + 1."""
+    laws: dict[int, dict[frozenset, float]] = {i: defaultdict(float) for i in range(m + 1, n)}
+    core = np.array([m - j for j in range(m + 1)], dtype=float)  # core node j has m - j in-edges
+
+    def walk(i, indeg, pr):
+        if i == n:
+            return
+        for targets, q in _sampling_law(indeg[:i] + 1.0, m).items():
+            laws[i][targets] += pr * q
+            nxt = indeg.copy()
+            nxt[list(targets)] += 1
+            walk(i + 1, nxt, pr * q)
+
+    walk(m + 1, np.concatenate((core, np.zeros(n - m - 1))), 1.0)
+    return laws
+
+
+@pytest.mark.parametrize("sampler", [gen_ba, reference_gen_ba])
+@pytest.mark.parametrize("n, m", [(6, 2), (6, 3), (5, 1)])
+def test_ba_target_sets_follow_successive_sampling(sampler, n, m):
+    seeds = 3000
+    seen = {i: Counter() for i in range(m + 1, n)}
+    for seed in range(seeds):
+        g = sampler(GeneratorConfig("ba", n, m=m, seed=seed))
+        for i in seen:
+            seen[i][frozenset(v for v, _mult in g.out_edges(i))] += 1
+    for i, law in _ba_target_laws(n, m).items():
+        assert set(seen[i]) <= set(law)
+        for targets, pr in law.items():
+            assert abs(seen[i][targets] - seeds * pr) <= 5 * np.sqrt(seeds * pr * (1 - pr)) + 1e-9
+
+
+def test_ba_indegree_statistics_match_the_reference():
+    # edge count, max and median in-degree, nodes with in-degree >= 10 and with
+    # none: the per-seed means agree within 5 standard errors (or 1, for a
+    # statistic that does not vary across seeds)
+    def stats(g):
+        d = g.in_degrees()
+        return [g.edge_count, d.max(), np.median(d), (d >= 10).sum(), (d == 0).sum()]
+
+    seeds = range(10)
+    new = np.array([stats(gen_ba(GeneratorConfig("ba", 2000, m=5, seed=s))) for s in seeds], dtype=float)
+    ref = np.array([stats(reference_gen_ba(GeneratorConfig("ba", 2000, m=5, seed=s))) for s in seeds], dtype=float)
+    se = np.sqrt((new.var(0, ddof=1) + ref.var(0, ddof=1)) / len(seeds))
+    assert np.all(np.abs(new.mean(0) - ref.mean(0)) <= np.maximum(5 * se, 1.0))
 
 
 def test_er_binomial_concentration():

@@ -199,6 +199,20 @@ def test_config_validation():
         PageRankConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ((float("nan"), 50), "tolerance must be positive, got nan"),
+        ((-1.0, 50), "tolerance must be positive, got -1.0"),
+        ((1e-12, 2.5), "max_iterations must be an integer, got 2.5"),
+        ((1e-12, True), "max_iterations must be an integer, got True"),
+    ],
+)
+def test_config_rejects_bad_limits(limits, message):
+    with pytest.raises(ValueError, match=message):
+        PageRankConfig(0.85, *limits)
+
+
 CYCLIC = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
 
 

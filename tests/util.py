@@ -356,6 +356,51 @@ class ReferenceMultigraph:
         return m
 
 
+def reference_gen_er(cfg: GeneratorConfig) -> DirectedMultigraph:
+    """Row-by-row G(n, p) sampler, one rng.random(n) per tail: the oracle for
+    generators.gen_er (same law, a different random stream)."""
+    n = cfg.n
+    p = cfg.p
+    if cfg.target_expected_edges is not None:
+        if n < 2:
+            raise ValueError("cannot target an edge count on a single node")
+        p = min(1.0, cfg.target_expected_edges / (n * (n - 1)))
+    rng = np.random.default_rng(cfg.seed)
+    edges: dict[tuple[int, int], int] = {}
+    for u in range(n):
+        hits = np.flatnonzero(rng.random(n) < p)
+        for v in hits:
+            if v != u:
+                edges[(u, int(v))] = 1
+    return DirectedMultigraph.from_edges(n, edges)
+
+
+def reference_gen_ba(cfg: GeneratorConfig) -> DirectedMultigraph:
+    """Node-by-node preferential attachment through
+    rng.choice(replace=False, p ∝ in-degree + 1): the oracle for
+    generators.gen_ba (same law, a different random stream)."""
+    n = cfg.n
+    m = cfg.m
+    if cfg.target_expected_edges is not None:
+        m = max(1, round(cfg.target_expected_edges / n))
+    if n <= m:
+        raise ValueError(f"ba model needs n > m, got n={n}, m={m}")
+    rng = np.random.default_rng(cfg.seed)
+    edges: dict[tuple[int, int], int] = {}
+    indeg = np.zeros(n)
+    for i in range(1, m + 1):
+        for j in range(i):
+            edges[(i, j)] = 1
+            indeg[j] += 1
+    for i in range(m + 1, n):
+        w = indeg[:i] + 1.0
+        targets = rng.choice(i, size=m, replace=False, p=w / w.sum())
+        for t in targets:
+            edges[(i, int(t))] = 1
+            indeg[t] += 1
+    return DirectedMultigraph.from_edges(n, edges)
+
+
 def reference_apply_attack(g: ReferenceMultigraph, spec) -> ReferenceMultigraph:
     """Replace each attacker's out-edges with the spec assignment, one dict copy at a time."""
     for a in spec.attackers:
