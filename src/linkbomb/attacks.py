@@ -125,15 +125,12 @@ def attack_magnitude(
     g: DirectedMultigraph, spec: AttackSpec, cfg: PageRankConfig = PageRankConfig()
 ) -> AttackResult:
     """Solve before and after the attack and report the victim's change."""
-    return _measure(compute_pagerank(g, cfg), apply_attack(g, spec), spec.victim, cfg)
+    before = compute_pagerank(g, cfg)
+    return _result(before, compute_pagerank(apply_attack(g, spec), cfg), spec.victim)
 
 
-def _measure(
-    before: PageRankVector, attacked: DirectedMultigraph, victim: int, cfg: PageRankConfig
-) -> AttackResult:
-    """Solve the attacked graph and compare the victim against a baseline
-    solved once by the caller, so scans over many attacks share it."""
-    after = compute_pagerank(attacked, cfg)
+def _result(before: PageRankVector, after: PageRankVector, victim: int) -> AttackResult:
+    """The victim's change between two solved score vectors."""
     vb = float(before.scores[victim])
     va = float(after.scores[victim])
     return AttackResult(

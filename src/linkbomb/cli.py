@@ -44,10 +44,11 @@ def _open_out(path: str | None):
 
 
 def _csv_out(fh, header, rows):
+    """Rows of Python ints and floats; csv writes a float as its repr, the
+    same text as str of the float or of its np.float64."""
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([str(x) for x in row])
+    w.writerows(rows)
 
 
 def _cmd_gen(args):
@@ -70,7 +71,7 @@ def _cmd_pagerank(args):
     prv = compute_pagerank(g, PageRankConfig(args.alpha, args.tol, args.max_iter))
     # Competition rank, as rank_of: 1 + the number of strictly higher scores.
     ranks = 1 + len(prv.scores) - np.searchsorted(np.sort(prv.scores), prv.scores, side="right")
-    rows = zip(range(g.node_count), prv.scores, ranks)
+    rows = zip(range(g.node_count), prv.scores.tolist(), ranks.tolist())
     with _open_out(args.out) as fh:
         _csv_out(fh, ["node", "score", "rank"], rows)
 
@@ -145,7 +146,7 @@ def _cmd_hist(args):
     g = load_edgelist(args.graph)
     prv = compute_pagerank(g, PageRankConfig(args.alpha, args.tol, args.max_iter))
     counts, edges = pagerank_histogram(prv, args.bins)
-    rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(len(counts))]
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
     with _open_out(args.out) as fh:
         _csv_out(fh, ["bin_lo", "bin_hi", "count"], rows)
 

@@ -19,7 +19,10 @@ with c = (1 - alpha) / n, f the forward values toward the victim, gamma =
 alpha (R f)[victim] its cycle flow and y = (I - alpha R)^-1 1_A the
 absorbing values with every attacker pinned to 1. Only the candidates
 whose V lies within the solvers' certified error of the best (the tie
-band) get a full pagerank solve, and the lowest id wins among equal
+band) get a full pagerank solve: the baseline and every band candidate's
+attacked graph are solved as block-diagonal power iterations, streamed
+in stacks of bounded height (`compute_pageranks`), each result
+bit-identical to a lone solve. The lowest id wins among equal
 magnitudes, so the chosen attack is the one a full solve per candidate
 would pick.
 
@@ -29,14 +32,15 @@ self-loop) points wherever the flow returned to it is largest.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackResult, AttackSpec, _measure, apply_attack, attack_magnitude
+from .attacks import AttackResult, AttackSpec, _result, apply_attack, attack_magnitude
 from .flow import _absorbing_values
 from .graph import DirectedMultigraph
-from .pagerank import MAX_ITERATIONS, PageRankConfig, _check_alpha, compute_pagerank
+from .pagerank import MAX_ITERATIONS, PageRankConfig, _check_alpha, _stacked_pageranks
 
 __all__ = [
     "ForwardValueMap",
@@ -268,11 +272,12 @@ def optimal_disguised_joint(
     Individually optimal nodes can differ between attackers, yet some
     single shared node always does at least as well as any mix of
     per-attacker single links. The whole shell is scored in closed form
-    from two absorbing solves (see the module docstring); the baseline is
-    solved once, and only the tie band -- candidates within the certified
-    error of the best -- gets a full solve of the attacked graph. The
-    largest full-solve magnitude wins, the lowest id among equals, exactly
-    as a full solve per candidate would choose. `cfg.alpha` must equal
+    from two absorbing solves (see the module docstring); the baseline and
+    the attacked graphs of the tie band -- candidates within the certified
+    error of the best -- get full solves, streamed as block-diagonal
+    stacks of bounded height (see `compute_pageranks`). The largest
+    full-solve magnitude wins, the lowest id among equals, exactly as a
+    full solve per candidate would choose. `cfg.alpha` must equal
     `alpha`; a given `cfg` also sets the absorbing solves' tolerance and
     iteration cap.
     """
@@ -284,28 +289,27 @@ def optimal_disguised_joint(
     staged = _staged(g, attackers)
     cands = _candidates_for(staged, attackers, victim, ell)
     band = _tie_band(staged, attackers, victim, cands, cfg, limits)
-    before = compute_pagerank(g, cfg)
-    best_w, best_graph, best = None, None, None
-    for w in band:
-        spec = AttackSpec(
-            attackers=attackers,
-            victim=victim,
-            assignment={a: {w: 1} for a in attackers},
-            pattern_tag="custom",
-        )
-        attacked = apply_attack(g, spec)
-        res = _measure(before, attacked, victim, cfg)
-        if best is None or res.magnitude > best.magnitude:
-            best_w, best_graph, best = w, attacked, res
+    attacked = (apply_attack(g, AttackSpec(attackers, victim, {a: {w: 1} for a in attackers})) for w in band)
+    # Streamed: one stack's attacked graphs, matrices and score vectors are
+    # held at a time, plus the best graph and score vector so far.
+    solved = _stacked_pageranks(itertools.chain([g], attacked), cfg)
+    _, before = next(solved)
+    vb = float(before.scores[victim])
+    best = top = None
+    for k, (graph, prv) in enumerate(solved):
+        magnitude = float(prv.scores[victim]) - vb
+        if best is None or magnitude > top:  # strict: the lowest id among equal magnitudes
+            best, top, best_graph, after = k, magnitude, graph, prv
+    result = _result(before, after, victim)
     fwd = forward_values(best_graph, victim, alpha, *limits)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
         ell=ell,
-        chosen_node=best_w,
+        chosen_node=band[best],
         per_attacker_value={a: float(fwd.values[a]) for a in attackers},
-        magnitude=best.magnitude,
-        result=best,
+        magnitude=result.magnitude,
+        result=result,
     )
 
 

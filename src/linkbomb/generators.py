@@ -37,6 +37,7 @@ the required mean out-degree for mwdta.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,13 @@ class GeneratorConfig:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.tau <= 1.0:
+        if not self.tau > 1.0:
             raise ValueError(f"tau must be > 1, got {self.tau}")
         if self.d_max < 1:
             raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.target_expected_edges is not None and self.target_expected_edges <= 0:
-            raise ValueError("target_expected_edges must be positive")
+        target = self.target_expected_edges
+        if target is not None and not (target > 0 and math.isfinite(target)):
+            raise ValueError(f"target_expected_edges must be positive and finite, got {target}")
 
 
 def generate(cfg: GeneratorConfig) -> DirectedMultigraph:

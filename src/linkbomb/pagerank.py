@@ -14,11 +14,12 @@ which `verify_sum_identity` checks. The solver is the plain power
 iteration from the uniform start 1/N, stopped on the max-norm residual
 of the defining equations.
 
-`compute_pageranks` solves several graphs at once, and `compute_pagerank`
-is its one-graph case. The graphs' transition matrices are laid along the
-diagonal of one CSR matrix M, so each step is one mat-vec on the stacked
-vector, nxt = alpha * (M @ p) + jump, with every block's own jump (1 -
-alpha)/N and start 1/N. Blocks do not mix: row i of M holds the same
+`compute_pageranks` solves several graphs at once, in stacks of a bounded
+number of rows, and `compute_pagerank` is its one-graph case. A stack's
+transition matrices are laid along the diagonal of one CSR matrix M, so
+each step is one mat-vec on the stacked vector, nxt = alpha * (M @ p) +
+jump, with every block's own jump (1 - alpha)/N and start 1/N. Blocks do
+not mix: row i of M holds the same
 entries in the same order as in its own graph's matrix, and every other
 operation is elementwise, so each block's iterates are bit-identical to a
 lone solve. One `np.maximum.reduceat` gives each block's max-norm
@@ -123,17 +124,49 @@ def compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = PageRankConfig
     return compute_pageranks([g], cfg)[0]
 
 
+# Rows stacked into one block-diagonal solve. A power-iteration step on one
+# 1000-node mwdta graph (E = 5n) cost 17.6 us, and 11.9, 8.9, 8.3, 8.6 and
+# 8.8 us per graph with 2, 4, 8, 16 and 32 such graphs stacked (2-vCPU x86
+# VM, scipy 1.17): the fixed per-step cost is spread by about eight blocks.
+# Wider stacks gain no time but hold every stacked graph, its cached
+# matrices and a block-diagonal copy at once: a streamed joint disguise scan
+# at alpha = 1 over an 86-candidate shell of an n = 5000 mwdta graph (cap
+# 3000 iterations) rose from 57 MB of RSS to 198 MB in one stack and to
+# 61 MB in bounded ones, in 7.9-8.1 s against 6.9 s.
+# The bound keeps a 5 x 800-row sweep batch in one stack.
+_STACK_ROWS = 8000
+
+
 def compute_pageranks(graphs, cfg: PageRankConfig = PageRankConfig()) -> list[PageRankVector]:
-    """Solve every graph in `graphs` as one block-diagonal power iteration.
+    """Solve every graph in `graphs` by block-diagonal power iteration, in
+    consecutive stacks of at most _STACK_ROWS rows (a larger graph is a
+    stack of its own).
 
     Each result is bit-identical to solving its graph alone (see the
     module docstring). For alpha < 1 a cutoff raises the
     ConvergenceError of the first unconverged graph in input order; at
     alpha = 1 cut-off graphs come back flagged.
     """
-    graphs = list(graphs)
-    if not graphs:
-        return []
+    return [prv for _, prv in _stacked_pageranks(graphs, cfg)]
+
+
+def _stacked_pageranks(graphs, cfg: PageRankConfig):
+    """compute_pageranks as a generator of (graph, result) pairs. `graphs`
+    is read one graph past a stack before that stack is solved, so a
+    caller streaming both holds about one stack at a time."""
+    stack: list[DirectedMultigraph] = []
+    rows = 0
+    for g in graphs:
+        if stack and rows + g.node_count > _STACK_ROWS:
+            yield from zip(stack, _solve_stack(stack, cfg))
+            stack, rows = [], 0
+        stack.append(g)
+        rows += g.node_count
+    if stack:
+        yield from zip(stack, _solve_stack(stack, cfg))
+
+
+def _solve_stack(graphs: list[DirectedMultigraph], cfg: PageRankConfig) -> list[PageRankVector]:
     alpha = cfg.alpha
     sizes = np.array([g.node_count for g in graphs])
     starts = np.concatenate(([0], np.cumsum(sizes)))

@@ -3,6 +3,7 @@ import gc
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from linkbomb import (
@@ -178,6 +179,25 @@ def test_pagerank_rank_column_matches_rank_of_with_ties(tmp_path):
     assert [int(r["rank"]) for r in rows] == [rank_of(prv, v) for v in range(10)]
     assert len({prv.scores[v] for v in range(2, 10)}) == 1
     assert {int(r["rank"]) for r in rows[2:]} == {3}
+
+
+def test_csv_bytes_equal_per_cell_numpy_str(tmp_path):
+    # The score and histogram writers hand Python floats to csv, which writes
+    # their repr; the text must equal str() of each np.float64 cell.
+    g = generate(GeneratorConfig("mwdta", 400, seed=11, target_expected_edges=2000.0))
+    path, pr, hist = tmp_path / "g.el", tmp_path / "pr.csv", tmp_path / "hist.csv"
+    save_edgelist(g, path)
+    main(["pagerank", "--graph", str(path), "--alpha", "0.85", "--out", str(pr)])
+    main(["hist", "--graph", str(path), "--alpha", "0.85", "--bins", "30", "--out", str(hist)])
+    scores = compute_pagerank(g, PageRankConfig(0.85)).scores
+    ranks = 1 + len(scores) - np.searchsorted(np.sort(scores), scores, side="right")
+    counts, edges = np.histogram(scores, bins=30, range=(float(scores.min()), float(scores.max())))
+
+    def per_cell(header, rows):
+        return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]).encode()
+
+    assert pr.read_bytes() == per_cell(["node", "score", "rank"], zip(range(g.node_count), scores, ranks))
+    assert hist.read_bytes() == per_cell(["bin_lo", "bin_hi", "count"], zip(edges[:-1], edges[1:], counts))
 
 
 def test_cli_import_leaves_csgraph_unloaded():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import linkbomb.attacks
 import linkbomb.disguise
+import linkbomb.pagerank
 from linkbomb import (
     AttackSpec,
     ConvergenceError,
@@ -298,15 +300,19 @@ def test_shell_scores_within_certified_bound():
 
 
 def test_joint_full_solves_only_the_tie_band(monkeypatch):
-    solves = []
-    real = linkbomb.attacks.compute_pagerank
+    calls = []
+    real = linkbomb.disguise._stacked_pageranks
 
-    def counting(g, cfg):
-        solves.append(g)
-        return real(g, cfg)
+    def counting(graphs, cfg):
+        graphs = list(graphs)
+        calls.append(len(graphs))
+        return real(graphs, cfg)
 
-    monkeypatch.setattr(linkbomb.attacks, "compute_pagerank", counting)
-    monkeypatch.setattr(linkbomb.disguise, "compute_pagerank", counting)
+    def no_lone_solve(g, cfg):
+        raise AssertionError("the joint scan solves nothing outside its one stacked call")
+
+    monkeypatch.setattr(linkbomb.disguise, "_stacked_pageranks", counting)
+    monkeypatch.setattr(linkbomb.attacks, "compute_pagerank", no_lone_solve)
     unique = 0
     for seed in range(12):
         g = mixed_model_graph(seed, 200)
@@ -319,12 +325,51 @@ def test_joint_full_solves_only_the_tie_band(monkeypatch):
         except ValueError:
             continue
         band = _tie_band(staged, attackers, victim, cands, CFG)
-        solves.clear()
+        calls.clear()
         optimal_disguised_joint(g, attackers, victim, 2, 0.85, CFG)
-        assert len(solves) == 1 + len(band)
+        assert calls == [1 + len(band)]
         if len(cands) >= 3 and len(band) == 1:
             unique += 1
     assert unique >= 3
+
+
+def test_joint_scan_streams_the_band_one_stack_at_a_time(monkeypatch):
+    # At alpha = 1 the band is the whole shell (34 candidates here). Attacked
+    # graphs are built as their stack fills and freed once it is solved, so
+    # a solve sees alive its own stack's graphs and at most three more: the
+    # next one, the best so far and the last one read.
+    built = set()
+    real_apply = linkbomb.disguise.apply_attack
+    real_solve = linkbomb.pagerank._solve_stack
+    stacks = []
+
+    def tracked(g, spec):
+        attacked = real_apply(g, spec)
+        built.add(id(attacked))
+        return attacked
+
+    def solve(graphs, cfg):
+        gc.collect()
+        alive = sum(type(o) is DirectedMultigraph and id(o) in built for o in gc.get_objects())
+        stacks.append((len(graphs), alive))
+        return real_solve(graphs, cfg)
+
+    g = mixed_model_graph(6, 200)
+    picks = np.random.default_rng(6).choice(g.node_count, size=3, replace=False)
+    victim, attackers = int(picks[0]), tuple(int(a) for a in picks[1:])
+    cfg = PageRankConfig(alpha=1.0, max_iterations=5000)
+    whole = optimal_disguised_joint(g, attackers, victim, 4, 1.0, cfg)
+    monkeypatch.setattr(linkbomb.disguise, "apply_attack", tracked)
+    monkeypatch.setattr(linkbomb.pagerank, "_solve_stack", solve)
+    monkeypatch.setattr(linkbomb.pagerank, "_STACK_ROWS", 3 * g.node_count)
+    streamed = optimal_disguised_joint(g, attackers, victim, 4, 1.0, cfg)
+    assert sum(n for n, _ in stacks) == 1 + 34
+    assert len(stacks) == 12
+    assert all(alive <= n + 3 for n, alive in stacks), stacks
+    assert (streamed.chosen_node, streamed.magnitude, streamed.per_attacker_value) == (
+        whole.chosen_node, whole.magnitude, whole.per_attacker_value
+    )
+    assert np.array_equal(streamed.result.after.scores, whole.result.after.scores)
 
 
 def test_alpha_must_match_config():

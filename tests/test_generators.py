@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from linkbomb import DirectedMultigraph, GeneratorConfig, gen_ba, gen_er, gen_mwdta, generate
+from linkbomb import DirectedMultigraph, GeneratorConfig, gen_ba, gen_er, gen_mwdta, generate, parse_experiment_config
 
 from util import reference_gen_ba, reference_gen_er
 
@@ -193,3 +193,23 @@ def test_config_validation():
         GeneratorConfig("mwdta", 10, beta=-0.2)
     with pytest.raises(ValueError):
         gen_mwdta(GeneratorConfig("mwdta", 200, target_expected_edges=50.0))  # < n edges
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"target_expected_edges": float("nan")}, "target_expected_edges must be positive and finite, got nan"),
+        ({"target_expected_edges": float("inf")}, "target_expected_edges must be positive and finite, got inf"),
+        ({"target_expected_edges": 0.0}, "target_expected_edges must be positive and finite, got 0.0"),
+        ({"tau": float("nan")}, "tau must be > 1, got nan"),
+    ],
+)
+def test_config_rejects_nan_and_infinite_inputs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorConfig("mwdta", 50, **kwargs)
+
+
+@pytest.mark.parametrize("line", ["target_edges = nan", "target_edges = inf", "tau = nan"])
+def test_config_file_rejects_nan_and_infinite_inputs(line):
+    with pytest.raises(ValueError, match="must be"):
+        parse_experiment_config(f"model = mwdta\nn = 50\nn_attackers = 3\n{line}\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linkbomb.pagerank
 from linkbomb import (
     ConvergenceError,
     DirectedMultigraph,
@@ -288,3 +289,58 @@ def test_batched_error_names_the_first_unconverged_graph():
     assert str(batched.value) == str(lone.value)
     assert batched.value.residual == lone.value.residual
     assert compute_pageranks([], cfg) == []
+
+
+def _chorded_cycle(n):
+    """An n-cycle plus one chord: slow to converge, with a residual that depends on n."""
+    return DirectedMultigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+
+
+def _random_graph(rng, n):
+    """n nodes and 3n uniform non-loop edges, repeats adding multiplicity."""
+    if n == 1:
+        return DirectedMultigraph(1)
+    tails = rng.integers(0, n, 3 * n)
+    return DirectedMultigraph.from_edges(n, list(zip(tails, (tails + rng.integers(1, n, 3 * n)) % n)))
+
+
+def test_stacks_are_bounded_and_equal_lone_solves(monkeypatch):
+    stacks = []
+    real = linkbomb.pagerank._solve_stack
+
+    def recording(graphs, cfg):
+        stacks.append([g.node_count for g in graphs])
+        return real(graphs, cfg)
+
+    monkeypatch.setattr(linkbomb.pagerank, "_solve_stack", recording)
+    bound = linkbomb.pagerank._STACK_ROWS
+    rng = np.random.default_rng(4)
+    sizes = [3000, 2500, 1, bound + 1000, 700, 4000, 4000, 60, 2, 5000, 3500]
+    graphs = [_random_graph(rng, n) for n in sizes]
+    cfg = PageRankConfig(0.85)
+    got = compute_pageranks(graphs, cfg)
+    assert [n for stack in stacks for n in stack] == sizes  # consecutive, in input order
+    assert len(stacks) > 1
+    assert all(sum(stack) <= bound or len(stack) == 1 for stack in stacks)
+    for a, g in zip(got, graphs):
+        assert_same_solve(a, reference_compute_pagerank(g, cfg))
+    # the sweep's batch of a baseline and four attacked graphs at n = 800 stays one stack
+    stacks.clear()
+    compute_pageranks([DirectedMultigraph(800)] * 5, cfg)
+    assert stacks == [[800] * 5]
+
+
+def test_stacked_error_names_the_first_unconverged_graph_across_stacks():
+    bound = linkbomb.pagerank._STACK_ROWS
+    # stacks: [edgeless], [300-cycle], [edgeless, 40-cycle]; both cycles are cut off
+    graphs = [DirectedMultigraph(bound - 100), _chorded_cycle(300), DirectedMultigraph(bound - 100), _chorded_cycle(40)]
+    cfg = PageRankConfig(alpha=0.95, max_iterations=3)
+    with pytest.raises(ConvergenceError) as first:
+        reference_compute_pagerank(graphs[1], cfg)
+    with pytest.raises(ConvergenceError) as later:
+        reference_compute_pagerank(graphs[3], cfg)
+    assert first.value.residual != later.value.residual
+    with pytest.raises(ConvergenceError) as stacked:
+        compute_pageranks(graphs, cfg)
+    assert str(stacked.value) == str(first.value)
+    assert stacked.value.residual == first.value.residual
