@@ -27,7 +27,7 @@ from .experiment import (
 from .flow import FlowQuery, flow_fraction, flow_fraction_bruteforce
 from .generators import MODELS, GeneratorConfig, generate
 from .graph import load_edgelist, save_edgelist
-from .pagerank import MAX_ITERATIONS, PageRankConfig, compute_pagerank
+from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, compute_pagerank
 
 
 def _node_list(text: str) -> list[int]:
@@ -153,7 +153,7 @@ def _cmd_hist(args):
 
 def _add_solver_opts(p):
     p.add_argument("--alpha", type=float, required=True, help="navigation probability")
-    p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance (max-norm)")
+    p.add_argument("--tol", type=float, default=TOLERANCE, help="solver tolerance (max-norm)")
     p.add_argument("--max-iter", type=int, default=MAX_ITERATIONS, dest="max_iter")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 

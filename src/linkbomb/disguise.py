@@ -4,10 +4,11 @@ A disguised attack must keep every attacker at shortest-path distance at
 least ell from the victim, so attackers cannot link to the victim
 directly. The key quantity is the forward value f(u): the fraction of
 u's score that reaches the victim along walks with the victim as
-terminal but never intermediate node. The best single-attacker move is
-one link to the forward-value maximizer among nodes at distance exactly
-ell - 1, and there is always a joint optimum where every attacker points
-at the same such node w.
+terminal but never intermediate node. For alpha < 1 the best
+single-attacker move is one link to the forward-value maximizer among
+nodes at distance exactly ell - 1, and there is always a joint optimum
+where every attacker points at the same such node w. The single-attacker
+scan is therefore the joint scan with one attacker.
 
 With the attackers' out-edges stripped (graph S, forward matrix R),
 pointing all of them at w is a rank-one change to I - alpha R, so two
@@ -22,9 +23,17 @@ whose V lies within the solvers' certified error of the best (the tie
 band) get a full pagerank solve: the baseline and every band candidate's
 attacked graph are solved as block-diagonal power iterations, streamed
 in stacks of bounded height (`compute_pageranks`), each result
-bit-identical to a lone solve. The lowest id wins among equal
-magnitudes, so the chosen attack is the one a full solve per candidate
-would pick.
+bit-identical to a lone solve. The largest full-solve magnitude wins,
+the lowest id among equal magnitudes, so the chosen attack is the one a
+full solve per candidate would pick. Candidates whose exact forward values
+tie (mirror images, say) can differ in computed magnitude by rounding or
+solver error; the larger computed magnitude then wins, not the lower id.
+At alpha = 1 the scores need not be unique and there is no certified
+bound: the band is the whole shell, and full solves, flagged and possibly
+cut off at the iteration cap, decide.
+
+Every solve takes its tolerance and iteration cap from the config, by
+default `pagerank.TOLERANCE` and `pagerank.MAX_ITERATIONS`.
 
 A link farm is the ell = 1 self-disguised case: all farm members point
 at the target, and the target (which controls its own links, but cannot
@@ -37,10 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackResult, AttackSpec, _result, apply_attack, attack_magnitude
+from .attacks import AttackResult, AttackSpec, _result, apply_attack
 from .flow import _absorbing_values
 from .graph import DirectedMultigraph
-from .pagerank import MAX_ITERATIONS, PageRankConfig, _check_alpha, _stacked_pageranks
+from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, _check_alpha, _stacked_pageranks
 
 __all__ = [
     "ForwardValueMap",
@@ -80,14 +89,11 @@ class DisguisedAttackPlan:
     result: AttackResult  # before/after solves of the chosen attack
 
 
-_TOLERANCE = 1e-12
-
-
 def forward_values(
     g: DirectedMultigraph,
     target: int,
     alpha: float,
-    tolerance: float = _TOLERANCE,
+    tolerance: float = TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> ForwardValueMap:
     target = g._check_node(target)
@@ -121,15 +127,16 @@ def value_of(
 
     The attacker's out-edges are replaced by the single probe edge
     (attacker, u); the result is the attacker's forward value toward the
-    victim on that modified graph. A given `cfg` sets the solve's
-    tolerance and iteration cap; its alpha is not consulted.
+    victim on that modified graph. `cfg.alpha` must equal `alpha`; a given
+    `cfg` also sets the solve's tolerance and iteration cap.
     """
+    cfg = _config(alpha, cfg)
     attacker = g._check_node(attacker)
     u = g._check_node(u)
     if u == attacker:
         raise ValueError(f"probe edge ({attacker}, {u}) would be a self-loop")
     probed = g._splice((attacker,), {(attacker, u): 1})
-    fwd = forward_values(probed, victim, alpha, *_limits(cfg))
+    fwd = forward_values(probed, victim, alpha, cfg.tolerance, cfg.max_iterations)
     return float(fwd.values[attacker])
 
 
@@ -152,12 +159,6 @@ def _candidates_for(staged, attackers, victim, ell) -> list[int]:
     return out
 
 
-def _limits(cfg: PageRankConfig | None) -> tuple:
-    """forward_values' (tolerance, max_iterations) arguments: the config's
-    limits, or none (its own defaults) without a config."""
-    return () if cfg is None else (cfg.tolerance, cfg.max_iterations)
-
-
 def _config(alpha: float, cfg: PageRankConfig | None) -> PageRankConfig:
     """The solver config; one that names a different alpha is an error."""
     if cfg is None:
@@ -175,46 +176,25 @@ def optimal_disguised_single(
     alpha: float,
     cfg: PageRankConfig | None = None,
 ) -> DisguisedAttackPlan:
-    """Best single link for one attacker under the distance constraint.
+    """Best single link for one attacker under the distance constraint: the
+    joint scan with one attacker.
 
-    Scans the distance ell - 1 shell for the forward-value maximizer
-    (lowest id on ties); scanning farther shells can never do better.
-    With ell = 1 the shell is just the victim and the plan degenerates to
-    the direct individual attack. `cfg.alpha` must equal `alpha`; a given
-    `cfg` also sets the forward-value solves' tolerance and iteration cap.
+    For alpha < 1 the winner is a forward-value maximizer in the distance
+    ell - 1 shell; scanning farther shells can never do better. The largest
+    full-solve magnitude wins, the lowest id among equal magnitudes, so a
+    tie in exact forward values goes to the larger computed magnitude. At
+    alpha = 1 the full solves of the whole shell decide, flagged when they
+    reach the iteration cap. With ell = 1 the shell is just the victim and
+    the plan is the direct individual attack. `cfg.alpha` must equal
+    `alpha`; a given `cfg` also sets every solve's tolerance and iteration
+    cap.
     """
-    if attacker == victim:
-        raise ValueError("attacker and victim must differ")
-    solve_cfg = _config(alpha, cfg)
-    cands = _candidates_for(_staged(g, (attacker,)), (attacker,), victim, ell)
-    best_u, best_v = None, -1.0
-    for u in cands:
-        val = value_of(g, attacker, u, victim, alpha, cfg)
-        if val > best_v:
-            best_u, best_v = u, val
-    spec = AttackSpec(
-        attackers=(attacker,),
-        victim=victim,
-        assignment={attacker: {best_u: 1}},
-        pattern_tag="custom",
-    )
-    result = attack_magnitude(g, spec, solve_cfg)
-    return DisguisedAttackPlan(
-        attackers=(attacker,),
-        victim=victim,
-        ell=ell,
-        chosen_node=best_u,
-        per_attacker_value={attacker: best_v},
-        magnitude=result.magnitude,
-        result=result,
-    )
+    return optimal_disguised_joint(g, (attacker,), victim, ell, alpha, cfg)
 
 
-def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig, limits=()):
+def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig):
     """V(w) for each candidate w (see the module docstring) and a bound on
     |V(w) - victim score of the full pagerank solve of that attack|.
-    `limits` are the f and y solves' (tolerance, max_iterations), by default
-    forward_values' own.
 
     V increases in each of its inputs, so it is evaluated with every input
     at the low and at the high end of its certified error: residual / (1 -
@@ -223,9 +203,8 @@ def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg
     """
     n, alpha = staged.node_count, cfg.alpha
     eps = np.finfo(float).eps
-    tolerance, max_iterations = limits or (_TOLERANCE, MAX_ITERATIONS)
-    fwd = forward_values(staged, victim, alpha, tolerance, max_iterations)
-    y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, tolerance, max_iterations)
+    fwd = forward_values(staged, victim, alpha, cfg.tolerance, cfg.max_iterations)
+    y, y_resid, _it = _absorbing_values(staged, attackers, (), alpha, cfg.tolerance, cfg.max_iterations)
     f = fwd.values
     err_f = (fwd.residual + n * eps) / (1.0 - alpha)
     err_y = (y_resid + n * eps) / (1.0 - alpha)
@@ -245,7 +224,7 @@ def _shell_scores(staged: DirectedMultigraph, attackers, victim: int, cands, cfg
     return mid, np.maximum(hi - mid, mid - lo) + full_solve + n * eps * hi
 
 
-def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig, limits=()) -> list[int]:
+def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: PageRankConfig) -> list[int]:
     """The candidates whose full solve may still win the scan.
 
     A candidate is dropped only when its score's upper bound lies below some
@@ -254,7 +233,7 @@ def _tie_band(staged: DirectedMultigraph, attackers, victim: int, cands, cfg: Pa
     """
     if cfg.alpha >= 1.0:
         return list(cands)
-    score, bound = _shell_scores(staged, attackers, victim, cands, cfg, limits)
+    score, bound = _shell_scores(staged, attackers, victim, cands, cfg)
     keep = score + bound >= np.max(score - bound)
     return [w for w, k in zip(cands, keep) if k]
 
@@ -284,11 +263,10 @@ def optimal_disguised_joint(
     attackers = tuple(int(a) for a in attackers)
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
-    limits = _limits(cfg)
     cfg = _config(alpha, cfg)
     staged = _staged(g, attackers)
     cands = _candidates_for(staged, attackers, victim, ell)
-    band = _tie_band(staged, attackers, victim, cands, cfg, limits)
+    band = _tie_band(staged, attackers, victim, cands, cfg)
     attacked = (apply_attack(g, AttackSpec(attackers, victim, {a: {w: 1} for a in attackers})) for w in band)
     # Streamed: one stack's attacked graphs, matrices and score vectors are
     # held at a time, plus the best graph and score vector so far.
@@ -301,7 +279,7 @@ def optimal_disguised_joint(
         if best is None or magnitude > top:  # strict: the lowest id among equal magnitudes
             best, top, best_graph, after = k, magnitude, graph, prv
     result = _result(before, after, victim)
-    fwd = forward_values(best_graph, victim, alpha, *limits)
+    fwd = forward_values(best_graph, victim, alpha, cfg.tolerance, cfg.max_iterations)
     return DisguisedAttackPlan(
         attackers=attackers,
         victim=victim,
@@ -332,7 +310,7 @@ def optimal_link_farm(
     `cfg.alpha` must equal `alpha`; a given `cfg` also sets the forward-value
     solve's tolerance and iteration cap.
     """
-    _config(alpha, cfg)
+    cfg = _config(alpha, cfg)
     farm = tuple(int(v) for v in farm_nodes)
     if len(set(farm)) != len(farm):
         raise ValueError(f"farm nodes must be distinct, got {farm}")
@@ -349,14 +327,8 @@ def optimal_link_farm(
         pattern_tag="individual",
     )
     staged = apply_attack(g, direct)
-    fwd = forward_values(staged, target, alpha, *_limits(cfg))
-    best_u, best_v = None, -1.0
-    for u in range(g.node_count):
-        if u == target:
-            continue
-        val = float(fwd.values[u])
-        if val > best_v:
-            best_u, best_v = u, val
+    returns = forward_values(staged, target, alpha, cfg.tolerance, cfg.max_iterations).values
+    returns[target] = -np.inf  # no self-loop; argmax takes the first, lowest-id maximum
     assignment = {a: {target: 1} for a in members}
-    assignment[target] = {best_u: 1}
+    assignment[target] = {int(np.argmax(returns)): 1}
     return AttackSpec(attackers=farm, victim=target, assignment=assignment, pattern_tag="custom")

@@ -32,6 +32,7 @@ from .attacks import apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
 from .pagerank import (
     MAX_ITERATIONS,
+    TOLERANCE,
     PageRankConfig,
     PageRankVector,
     _check_limits,
@@ -137,7 +138,7 @@ class ExperimentConfig:
     attacker_selection: SelectionRule = SelectionRule()
     victim_selection: SelectionRule = SelectionRule()
     master_seed: int = 0
-    tolerance: float = 1e-12
+    tolerance: float = TOLERANCE
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):

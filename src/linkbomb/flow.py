@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import DirectedMultigraph
-from .pagerank import MAX_ITERATIONS, ConvergenceError, _check_alpha, _check_limits, _iterate
+from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_alpha, _check_limits, _iterate
 
 __all__ = [
     "FlowQuery",
@@ -109,7 +109,7 @@ def _absorbing_values(
 def flow_fraction(
     g: DirectedMultigraph,
     q: FlowQuery,
-    tolerance: float = 1e-12,
+    tolerance: float = TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FlowResult:
     """Exact flow fraction via the absorbing linear solve.

@@ -42,6 +42,7 @@ from .graph import DirectedMultigraph
 
 __all__ = [
     "MAX_ITERATIONS",
+    "TOLERANCE",
     "PageRankConfig",
     "PageRankVector",
     "ConvergenceError",
@@ -54,6 +55,7 @@ __all__ = [
 
 
 MAX_ITERATIONS = 100_000  # default iteration cap of every solve, in the library and the CLI
+TOLERANCE = 1e-12  # default max-norm tolerance of every solve, in the library and the CLI
 
 
 def _check_alpha(alpha: float) -> None:
@@ -83,7 +85,7 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class PageRankConfig:
     alpha: float = 0.85
-    tolerance: float = 1e-12
+    tolerance: float = TOLERANCE
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
