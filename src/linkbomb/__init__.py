@@ -36,10 +36,8 @@ from .flow import (
     FlowQuery,
     FlowResult,
     attack_magnitude_formula,
-    cycle_amplification,
     flow_fraction,
     flow_fraction_bruteforce,
-    length_flow,
 )
 from .generators import GeneratorConfig, gen_ba, gen_er, gen_mwdta, generate
 from .graph import DirectedMultigraph, dumps_edgelist, load_edgelist, loads_edgelist, save_edgelist

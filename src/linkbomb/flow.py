@@ -13,27 +13,25 @@ solver tolerance, sums infinite walk families), and an explicit walk
 enumeration capped at a maximum length, kept as an independent oracle
 with an explicit tail bound. The absorbing solve runs on the pagerank
 solver's fixed-point loop, `pagerank._iterate`, as one block: the rows of
-the pinned and zeroed nodes are emptied and the pinned ones get a jump of
-1, so the map x <- alpha * (R @ x) + 1_pinned holds them at 1 and 0.
+the pinned and zeroed nodes are emptied (`pagerank._emptied`, which
+deflated pagerank solves use too) and the pinned ones get a jump of 1,
+so the map x <- alpha * (R @ x) + 1_pinned holds them at 1 and 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graph import DirectedMultigraph
-from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_alpha, _check_limits, _iterate
+from .graph import DirectedMultigraph, _peel
+from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_alpha, _check_limits, _emptied, _iterate
 
 __all__ = [
     "FlowQuery",
     "FlowResult",
     "flow_fraction",
     "flow_fraction_bruteforce",
-    "cycle_amplification",
     "attack_magnitude_formula",
-    "length_flow",
 ]
 
 
@@ -85,15 +83,8 @@ def _absorbing_values(
     relevant walk families are finite.
     """
     _check_limits(tolerance, max_iterations)
-    r = g.forward_matrix()
     pinned = np.asarray(pinned, dtype=np.intp)
-    fixed = np.zeros(g.node_count, dtype=bool)
-    fixed[np.fromiter(zero_nodes, dtype=np.intp)] = True
-    fixed[pinned] = True
-    # Pinned and zeroed rows hold explicit zeros; every other row keeps its
-    # entries in their stored order, so its sums come out as on r itself.
-    data = np.where(np.repeat(fixed, np.diff(r.indptr)), 0.0, r.data)
-    a = sp.csr_matrix((data, r.indices, r.indptr), shape=r.shape)
+    a = _emptied(g.forward_matrix(), np.concatenate((np.fromiter(zero_nodes, dtype=np.intp), pinned)))
     b = np.zeros(g.node_count)
     b[pinned] = 1.0
     [(h, iterations, resid, converged)] = _iterate(a, alpha, b, b, np.array([0, len(b)]), tolerance, max_iterations)
@@ -132,15 +123,8 @@ def flow_fraction(
 
 
 def _has_cycle(g: DirectedMultigraph) -> bool:
-    # Peel nodes with no in-edge left from unpeeled nodes; only nodes on or
-    # behind a cycle are never peeled.
-    r = g.forward_matrix()
-    indeg = np.bincount(r.indices, minlength=g.node_count)
-    alive = np.ones(g.node_count, dtype=bool)
-    while len(free := np.flatnonzero(alive & (indeg == 0))):
-        alive[free] = False
-        indeg -= np.bincount(r[free].indices, minlength=g.node_count)
-    return bool(alive.any())
+    # Only nodes on or behind a cycle survive the peel of source nodes.
+    return bool(_peel(g._indptr, g._heads, np.ones(g.node_count, dtype=bool)).any())
 
 
 def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) -> FlowResult:
@@ -190,13 +174,6 @@ def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) 
     return FlowResult(fraction=total, method="enumeration", tail_bound=tail)
 
 
-def cycle_amplification(gamma: float) -> float:
-    """Geometric blow-up 1/(1-gamma) from re-circulating a cycle flow gamma."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"cycle flow must be in [0, 1), got {gamma}")
-    return 1.0 / (1.0 - gamma)
-
-
 def attack_magnitude_formula(delta: float, gamma_v0: float, rho_v0vi: float, p_i: float) -> float:
     """Victim gain from a single attacker pushing raw flow `delta`.
 
@@ -217,30 +194,3 @@ def attack_magnitude_formula(delta: float, gamma_v0: float, rho_v0vi: float, p_i
     if denom <= 0:
         raise ValueError(f"feedback factor must stay below 1 (denominator {denom:.3e})")
     return delta / denom
-
-
-def length_flow(
-    g: DirectedMultigraph,
-    source: int,
-    l: int,
-    alpha: float,
-    p_source: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """Per-node score increments from walks of length exactly l out of source.
-
-    Runs l rounds of the propagation recurrence seeded with p_source on
-    the source node and returns (increments, total). The recurrence is
-    linear in the seed, so p_source = 1 gives plain fractions. The total
-    is bounded by alpha**l * p_source, with equality exactly when no mass
-    was stunted by a dangling node in the first l - 1 steps.
-    """
-    g._check_node(source)
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    _check_alpha(alpha)
-    m = g.transition_matrix()
-    d = np.zeros(g.node_count)
-    d[source] = p_source
-    for _ in range(l):
-        d = alpha * (m @ d)
-    return d, float(d.sum())

@@ -76,12 +76,43 @@ def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.nd
     return indptr, keys % n, summed
 
 
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the entries of every CSR row in `rows`, row by row in stored order."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return offsets + np.arange(len(offsets))
+
+
 def _step(indptr: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Targets of every CSR row in `frontier`, with repeats."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return targets[offsets + np.arange(len(offsets))]
+    return targets[_entries(indptr, frontier)]
+
+
+def _unique(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """`nodes` with repeats dropped, in O(len(nodes)); `stamp` is scratch
+    space indexed by node id. Of each repeated id one position wins the
+    scatter, whichever it is, and only that one reads its own stamp back."""
+    at = np.arange(len(nodes))
+    stamp[nodes] = at
+    return nodes[stamp[nodes] == at]
+
+
+def _peel(indptr: np.ndarray, targets: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Clear, round by round, every node of the mask `alive` with no CSR
+    entry from an alive row, in O(n + E). The nodes left are those on or
+    behind a cycle of alive nodes; `alive` must be closed under the rows'
+    targets."""
+    stamp = np.empty(len(alive), dtype=np.intp)
+    tails = np.repeat(np.arange(len(alive)), np.diff(indptr))
+    indeg = np.bincount(targets[alive[tails]], minlength=len(alive))
+    free = np.flatnonzero(alive & (indeg == 0))
+    while len(free):
+        alive[free] = False
+        nxt = _step(indptr, targets, free)
+        np.subtract.at(indeg, nxt, 1)
+        free = _unique(nxt[indeg[nxt] == 0], stamp)
+    return alive
 
 
 def _distances(indptr: np.ndarray, targets: np.ndarray, start: int) -> np.ndarray:
@@ -275,6 +306,34 @@ class DirectedMultigraph:
             m = self.forward_matrix().T.tocsr()
             self._cache["trans"] = m
         return m
+
+    def _closed_nodes(self) -> np.ndarray:
+        """Ids, ascending, of the nodes that reach no dangling node and
+        survive the peel of source nodes (`_peel`).
+
+        The set is closed under out-edges and holds every closed strong
+        component with an edge in it. A breadth-first search from the
+        dangling nodes over the transition matrix's rows (the in-edges)
+        finds the nodes that can lose flow; the peel then drops the
+        acyclic nodes feeding the rest. O(n + E).
+        """
+        q = self._cache.get("closed")
+        if q is None:
+            t = self.transition_matrix()
+            # scipy's int32 index arrays would be cast on every gather below
+            indptr, tails = t.indptr.astype(np.intp), t.indices.astype(np.intp)
+            stamp = np.empty(self._n, dtype=np.intp)
+            leaky = self._degrees()[0] == 0
+            frontier = np.flatnonzero(leaky)
+            while len(frontier):
+                nxt = _step(indptr, tails, frontier)
+                nxt = nxt[~leaky[nxt]]
+                leaky[nxt] = True
+                frontier = _unique(nxt, stamp)
+            alive = ~leaky
+            q = np.flatnonzero(_peel(self._indptr, self._heads, alive) if alive.any() else alive)
+            self._cache["closed"] = q
+        return q
 
 
 # ---- edge-list text format ---------------------------------------------------

@@ -200,12 +200,24 @@ def test_csv_bytes_equal_per_cell_numpy_str(tmp_path):
     assert hist.read_bytes() == per_cell(["bin_lo", "bin_hi", "count"], zip(edges[:-1], edges[1:], counts))
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # scipy.sparse.csgraph adds ~11 MB of peak RSS at import time.
-    code = "import sys, linkbomb.cli; print('scipy.sparse.csgraph' in sys.modules)"
+def test_cli_import_leaves_csgraph_unloaded(tmp_path):
+    # scipy.sparse.csgraph and scipy.sparse.linalg each add ~10-11 MB of peak
+    # RSS at import time; neither is loaded by the import, nor by a solve
+    # that deflates a closed set (the mwdta seed pair 0 <-> 1).
+    graph = tmp_path / "g.el"
+    save_edgelist(generate(GeneratorConfig("mwdta", 200, seed=3)), graph)
+    code = (
+        "import sys, linkbomb.cli\n"
+        "from linkbomb import compute_pagerank, load_edgelist\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')]\n"
+        "print(loaded())\n"
+        f"linkbomb.cli.main(['pagerank', '--graph', {str(graph)!r}, '--alpha', '0.85', '--out', {str(tmp_path / 'pr.csv')!r}])\n"
+        f"g = load_edgelist({str(graph)!r})\n"
+        "print(compute_pagerank(g).iterations < 40, g._closed_nodes().tolist(), loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[False, False]", "True [0, 1] [False, False]"]
 
 
 def test_one_parser_per_process(graph_file, tmp_path):

@@ -23,8 +23,6 @@ from linkbomb import (
 import linkbomb.experiment
 from linkbomb.experiment import read_experiment_config, summarize, write_summary_csv, write_trials_csv
 
-from util import reference_compute_pagerank
-
 
 def isolated_cfg(alpha=0.85):
     # an edgeless 11-node graph forces the isolated setting: 10 attackers
@@ -372,7 +370,7 @@ def test_trial_solves_each_attacked_graph_once_per_alpha(monkeypatch):
     monkeypatch.setattr(
         linkbomb.experiment,
         "compute_pageranks",
-        lambda graphs, prcfg: [reference_compute_pagerank(g, prcfg) for g in graphs],
+        lambda graphs, prcfg: [compute_pagerank(g, prcfg) for g in graphs],
     )
     for t in range(cfg.trials):
         applied.clear()

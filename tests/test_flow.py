@@ -11,15 +11,13 @@ from linkbomb import (
     PageRankConfig,
     attack_magnitude_formula,
     compute_pagerank,
-    cycle_amplification,
     flow_fraction,
     flow_fraction_bruteforce,
     forward_values,
-    length_flow,
 )
 
 from linkbomb.flow import _absorbing_values, _has_cycle
-from util import ReferenceMultigraph, admissible_shortest_len, reference_absorbing_values, small_random_graph
+from util import admissible_shortest_len, reference_absorbing_values, small_random_graph
 
 TWO_CYCLE = DirectedMultigraph.from_edges(2, [(0, 1), (1, 0)])
 CHAIN = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2)])
@@ -130,16 +128,6 @@ def test_excluding_more_nodes_never_raises_flow(seed):
     assert flow_fraction(g, q).fraction >= flow_fraction(g, bigger).fraction - 1e-12
 
 
-def test_cycle_amplification():
-    assert cycle_amplification(0.0) == 1.0
-    assert cycle_amplification(0.85**2) == pytest.approx(3.6036036036, abs=1e-9)
-    assert cycle_amplification(0.5) == 2.0
-    with pytest.raises(ValueError):
-        cycle_amplification(1.0)
-    with pytest.raises(ValueError):
-        cycle_amplification(-0.1)
-
-
 def test_magnitude_formula_trivial_cases():
     assert attack_magnitude_formula(0.123, 0.0, 0.0, 0.5) == pytest.approx(0.123)
     assert attack_magnitude_formula(0.0, 0.3, 0.2, 0.5) == 0.0
@@ -165,35 +153,6 @@ def test_magnitude_formula_against_solver():
     assert predicted == pytest.approx(actual, abs=1e-8)
     assert gamma == pytest.approx(alpha**2, abs=1e-12)
     assert rho == 0.0
-
-
-def test_length_flow_basics():
-    dangling = DirectedMultigraph(2)
-    inc, total = length_flow(dangling, 0, 1, 0.85)
-    assert total == 0.0
-
-    g = DirectedMultigraph.from_edges(3, [(0, 1), (0, 2)])
-    inc, total = length_flow(g, 0, 1, 0.85, p_source=0.4)
-    assert total == pytest.approx(0.85 * 0.4, abs=1e-15)
-
-    inc, total = length_flow(CHAIN, 0, 2, 0.85)
-    assert total == pytest.approx(0.85**2, abs=1e-15)
-    assert inc[2] == pytest.approx(0.85**2, abs=1e-15)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-def test_length_flow_attenuation_bound(seed, l):
-    rng = np.random.default_rng(seed)
-    g = small_random_graph(rng)
-    source = int(rng.integers(0, g.node_count))
-    alpha = 0.85
-    _, total = length_flow(g, source, l, alpha)
-    assert total <= alpha**l + 1e-12
-    # equality iff the previous level was tight and nothing dangles there
-    _, prev = length_flow(g, source, l - 1, alpha) if l > 1 else (None, 1.0)
-    level = ReferenceMultigraph.from_edges(g.node_count, list(g.edges())).k_neighborhood(source, l - 1)
-    if abs(prev - alpha ** (l - 1)) < 1e-12 and all(g.out_degree(u) > 0 for u in level):
-        assert total == pytest.approx(alpha**l, abs=1e-12)
 
 
 def test_query_validation():

@@ -18,7 +18,9 @@ from linkbomb.graph import MAX_NODES
 from util import (
     ReferenceMultigraph,
     bfs_distance_oracle,
+    reachability,
     reference_apply_attack,
+    reference_closed_nodes,
     reference_dumps_edgelist,
     reference_loads_edgelist,
 )
@@ -201,6 +203,34 @@ def test_csr_walks_match_reference(graph, v):
     g, ref = _pair(n, triples)
     v %= n
     assert g.distances_to(v) == ref.distances_to(v)
+
+
+@st.composite
+def _sparse_graphs(draw):
+    """Graphs of 1-12 nodes with n/2 to 2n edges: dangling nodes, closed
+    cycles and cycles that leak into them all come up."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, max(n - 2, 0))), min_size=n // 2, max_size=2 * n))
+    return DirectedMultigraph.from_edges(n, [(u, v + (v >= u)) for u, v in rows if n > 1])
+
+
+@settings(max_examples=300)
+@given(_sparse_graphs())
+def test_closed_nodes_match_reachability(g):
+    q = g._closed_nodes()
+    event(f"closed set {'empty' if not len(q) else 'nonempty'}")
+    assert q.tolist() == reference_closed_nodes(g)
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[q] = True
+    assert all(inside[v] for u in q for v, _m in g.out_edges(int(u)))  # closed under out-edges
+    assert (g.out_degrees()[q] > 0).all()  # no dangling node
+    # every closed strong component with an edge in it lies inside
+    reach = reachability(g)
+    for u in range(g.node_count):
+        component = np.flatnonzero(reach[u] & reach[:, u])
+        if len(component) and not reach[u, ~np.isin(np.arange(g.node_count), component)].any():
+            assert inside[component].all()
+    assert g._closed_nodes() is q  # cached
 
 
 @given(multigraphs, st.data())

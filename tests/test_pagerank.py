@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import linkbomb.pagerank
 from linkbomb import (
     ConvergenceError,
     DirectedMultigraph,
+    GeneratorConfig,
     PageRankConfig,
     PageRankVector,
     build_pattern,
@@ -15,11 +16,14 @@ from linkbomb import (
     closed_form_isolated,
     compute_pagerank,
     compute_pageranks,
+    generate,
+    optimal_link_farm,
     rank_of,
     verify_sum_identity,
 )
+from linkbomb.pagerank import _DENSE_ROWS, _deflated_nodes
 
-from util import reference_compute_pagerank, small_random_graph
+from util import mixed_model_graph, reference_compute_pagerank, small_random_graph
 
 PAIR = DirectedMultigraph.from_edges(2, [(0, 1)])
 
@@ -168,9 +172,8 @@ def test_iteration_contracts(seed, alpha):
 
 
 def test_non_convergence_raises_with_residual():
-    g = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     with pytest.raises(ConvergenceError) as err:
-        compute_pagerank(g, PageRankConfig(alpha=0.95, max_iterations=3))
+        compute_pagerank(LEAKY, PageRankConfig(alpha=0.95, max_iterations=3))
     assert err.value.residual > 0
 
 
@@ -215,13 +218,14 @@ def test_config_rejects_bad_limits(limits, message):
 
 
 CYCLIC = DirectedMultigraph.from_edges(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+LEAKY = DirectedMultigraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3)])  # CYCLIC leaking into node 3
 
 
 @st.composite
 def solver_graphs(draw):
-    """Graphs of 1-12 nodes, edgeless ones included, plus a slow cycle."""
+    """Graphs of 1-12 nodes, edgeless ones included, plus a closed and a leaky slow cycle."""
     if draw(st.integers(0, 5)) == 0:
-        return CYCLIC
+        return draw(st.sampled_from([CYCLIC, LEAKY]))
     n = draw(st.integers(1, 12))
     if n == 1:
         return DirectedMultigraph(1)
@@ -252,7 +256,7 @@ def assert_same_solve(got, want):
 def test_batched_solve_equals_lone_solves(graphs, alpha, tolerance, max_iterations):
     cfg = PageRankConfig(alpha, tolerance, max_iterations)
     try:
-        want = [reference_compute_pagerank(g, cfg) for g in graphs]
+        want = [compute_pagerank(g, cfg) for g in graphs]
     except ConvergenceError as lone:
         # the first graph, in input order, that a sequence of lone solves fails on
         with pytest.raises(ConvergenceError) as err:
@@ -264,7 +268,14 @@ def test_batched_solve_equals_lone_solves(graphs, alpha, tolerance, max_iteratio
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same_solve(a, b)
-    assert_same_solve(compute_pagerank(graphs[0], cfg), want[0])
+    assert_same_solve_if_not_deflated(graphs, want, cfg)
+
+
+def assert_same_solve_if_not_deflated(graphs, got, cfg):
+    """Solves without a deflated closed set are the reference loop's, bit for bit."""
+    for g, a in zip(graphs, got):
+        if not len(_deflated_nodes(g, cfg.alpha)):
+            assert_same_solve(a, reference_compute_pagerank(g, cfg))
 
 
 def test_batched_alpha_one_flags_the_cut_off_cycle():
@@ -279,13 +290,13 @@ def test_batched_alpha_one_flags_the_cut_off_cycle():
 
 def test_batched_error_names_the_first_unconverged_graph():
     fast = DirectedMultigraph(2)  # converges at the second iterate
-    slow = DirectedMultigraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    slow = _leaky_cycle(6)
     cfg = PageRankConfig(alpha=0.95, max_iterations=3)
     with pytest.raises(ConvergenceError) as lone:
-        for g in (fast, CYCLIC, slow):
+        for g in (fast, LEAKY, slow):
             reference_compute_pagerank(g, cfg)
     with pytest.raises(ConvergenceError) as batched:
-        compute_pageranks([fast, CYCLIC, slow], cfg)
+        compute_pageranks([fast, LEAKY, slow], cfg)
     assert str(batched.value) == str(lone.value)
     assert batched.value.residual == lone.value.residual
     assert compute_pageranks([], cfg) == []
@@ -294,6 +305,12 @@ def test_batched_error_names_the_first_unconverged_graph():
 def _chorded_cycle(n):
     """An n-cycle plus one chord: slow to converge, with a residual that depends on n."""
     return DirectedMultigraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+
+
+def _leaky_cycle(n):
+    """`_chorded_cycle(n)` whose node n - 1 also links to a dangling node n:
+    as slow, but with no closed set to deflate."""
+    return DirectedMultigraph.from_edges(n + 1, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2), (n - 1, n)])
 
 
 def _random_graph(rng, n):
@@ -323,7 +340,8 @@ def test_stacks_are_bounded_and_equal_lone_solves(monkeypatch):
     assert len(stacks) > 1
     assert all(sum(stack) <= bound or len(stack) == 1 for stack in stacks)
     for a, g in zip(got, graphs):
-        assert_same_solve(a, reference_compute_pagerank(g, cfg))
+        assert_same_solve(a, compute_pagerank(g, cfg))
+    assert_same_solve_if_not_deflated(graphs, got, cfg)
     # the sweep's batch of a baseline and four attacked graphs at n = 800 stays one stack
     stacks.clear()
     compute_pageranks([DirectedMultigraph(800)] * 5, cfg)
@@ -333,7 +351,7 @@ def test_stacks_are_bounded_and_equal_lone_solves(monkeypatch):
 def test_stacked_error_names_the_first_unconverged_graph_across_stacks():
     bound = linkbomb.pagerank._STACK_ROWS
     # stacks: [edgeless], [300-cycle], [edgeless, 40-cycle]; both cycles are cut off
-    graphs = [DirectedMultigraph(bound - 100), _chorded_cycle(300), DirectedMultigraph(bound - 100), _chorded_cycle(40)]
+    graphs = [DirectedMultigraph(bound - 100), _leaky_cycle(300), DirectedMultigraph(bound - 100), _leaky_cycle(40)]
     cfg = PageRankConfig(alpha=0.95, max_iterations=3)
     with pytest.raises(ConvergenceError) as first:
         reference_compute_pagerank(graphs[1], cfg)
@@ -344,3 +362,90 @@ def test_stacked_error_names_the_first_unconverged_graph_across_stacks():
         compute_pageranks(graphs, cfg)
     assert str(stacked.value) == str(first.value)
     assert stacked.value.residual == first.value.residual
+
+
+# ---- deflated closed sets --------------------------------------------------------
+
+
+def _mwdta(seed, n=300):
+    return generate(GeneratorConfig("mwdta", n, target_expected_edges=5.0 * n, seed=seed))
+
+
+def _farmed(seed):
+    """An mwdta graph taken over by its best five-node link farm: a closed loop."""
+    g = _mwdta(seed)
+    farm = np.random.default_rng(seed).choice(g.node_count, size=5, replace=False)
+    return apply_attack(g, optimal_link_farm(g, farm, int(farm[0]), 0.85))
+
+
+# Graphs with a closed set small enough to deflate: closed cycles, link
+# farms, and mwdta graphs (whose seed pair 0 <-> 1 is closed).
+CLOSED = [CYCLIC, _chorded_cycle(40), _farmed(1), _farmed(2), _mwdta(1), _mwdta(2), _mwdta(3)]
+
+
+def _defect(g, prv):
+    """The defect of a solve's scores in the defining equations, every row."""
+    return prv.alpha * (g.transition_matrix() @ prv.scores) + (1.0 - prv.alpha) / g.node_count - prv.scores
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.85, 0.95])
+@pytest.mark.parametrize("g", CLOSED, ids=range(len(CLOSED)))
+def test_deflated_solve_is_within_its_certified_bound(g, alpha):
+    cfg = PageRankConfig(alpha)
+    assert 0 < len(_deflated_nodes(g, alpha)) or alpha == 0.0
+    got = compute_pagerank(g, cfg)
+    exact = reference_compute_pagerank(g, PageRankConfig(alpha, 1e-15))
+    r, r_exact = _defect(g, got), _defect(g, exact)
+    assert got.residual == np.abs(r).max() <= cfg.tolerance  # the defect of every row, closed ones included
+    # |p - p*|_1 <= |r|_1 / (1 - alpha) for both solves, plus rounding
+    bound = (np.abs(r).sum() + np.abs(r_exact).sum() + g.node_count * np.finfo(float).eps) / (1.0 - alpha)
+    assert np.abs(got.scores - exact.scores).sum() <= bound
+    assert verify_sum_identity(got, g) <= bound
+    if alpha > 0:  # deflated, not iterated whole after a failed direct solve
+        assert got.iterations < reference_compute_pagerank(g, cfg).iterations
+
+
+def test_deflation_cuts_mwdta_iterations():
+    g = _mwdta(1, n=1000)
+    cfg = PageRankConfig(0.85)
+    assert _deflated_nodes(g, 0.85).tolist() == [0, 1]
+    assert compute_pagerank(g, cfg).iterations <= 25
+    assert reference_compute_pagerank(g, cfg).iterations >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**20), st.sampled_from([0, 1]), st.sampled_from([0.0, 0.5, 0.85, 0.95, 1.0]))
+def test_solves_without_a_closed_set_are_unchanged(seed, model, alpha):
+    g = mixed_model_graph(3 * seed + model, 200)  # a random or a ba graph
+    assume(not len(g._closed_nodes()))  # ba graphs are acyclic; random ones almost always leak everywhere
+    cfg = PageRankConfig(alpha, max_iterations=500)
+    assert_same_solve(compute_pagerank(g, cfg), reference_compute_pagerank(g, cfg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(6)), st.sampled_from([0.5, 0.85, 0.95]))
+def test_stacks_mixing_closed_sets_equal_lone_solves(order, alpha):
+    rng = np.random.default_rng(7)
+    graphs = [
+        _random_graph(rng, 500),  # most likely no closed set; checked below
+        _mwdta(4),  # the closed seed pair
+        _farmed(3),
+        _chorded_cycle(_DENSE_ROWS),  # the largest closed set that is deflated
+        _chorded_cycle(_DENSE_ROWS + 1),  # too large: iterated whole
+        DirectedMultigraph(3),
+    ]
+    assert [len(_deflated_nodes(g, alpha)) > 0 for g in graphs] == [False, True, True, True, False, False]
+    graphs = [graphs[i] for i in order]
+    cfg = PageRankConfig(alpha)
+    got = compute_pageranks(graphs, cfg)
+    for a, g in zip(got, graphs):
+        assert_same_solve(a, compute_pagerank(g, cfg))
+    assert_same_solve_if_not_deflated(graphs, got, cfg)
+
+
+def test_closed_solve_missing_the_tolerance_falls_back(monkeypatch):
+    real = linkbomb.pagerank._solve_closed
+    monkeypatch.setattr(linkbomb.pagerank, "_solve_closed", lambda *args: real(*args) + 1.0)
+    cfg = PageRankConfig(0.85)
+    for g in (CYCLIC, _mwdta(1)):
+        assert_same_solve(compute_pagerank(g, cfg), reference_compute_pagerank(g, cfg))

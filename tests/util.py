@@ -276,23 +276,7 @@ class ReferenceMultigraph:
             g._in_deg[w] -= m
         return g
 
-    # ---- walks and distances ----------------------------------------------
-
-    def k_neighborhood(self, v: int, k: int) -> set[int]:
-        """Nodes reachable by walks of length exactly k from v.
-
-        The 0-neighborhood is {v}; the k-neighborhood is the set of heads
-        of edges whose tails lie in the (k-1)-neighborhood, so v can be a
-        member of its own k-neighborhood for k > 1.
-        """
-        v = self._check_node(v)
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        out_adj = self._adjacency()[0]
-        frontier = {v}
-        for _ in range(k):
-            frontier = {w for u in frontier for (w, _m) in out_adj[u]}
-        return frontier
+    # ---- distances ----------------------------------------------------------
 
     def distances_to(self, v: int) -> list[float]:
         """BFS distances from every node to v, via reverse edges."""
@@ -503,6 +487,25 @@ def reference_compute_pagerank(g: DirectedMultigraph, cfg: PageRankConfig = Page
         f"(last residual {resid:.3e}, tolerance {cfg.tolerance:.3e})",
         residual=resid,
     )
+
+
+def reachability(g) -> np.ndarray:
+    """reach[u, v]: some walk of one or more edges leads from u to v (Warshall's closure)."""
+    reach = g.forward_matrix().toarray() > 0
+    for k in range(g.node_count):
+        reach |= np.outer(reach[:, k], reach[k])
+    return reach
+
+
+def reference_closed_nodes(g: DirectedMultigraph) -> list[int]:
+    """The nodes that reach no dangling node and sit on, or are reachable
+    from, a cycle of such nodes, read off the reachability closure: the
+    oracle for `DirectedMultigraph._closed_nodes`."""
+    reach = reachability(g)
+    dangling = g.out_degrees() == 0
+    safe = ~dangling & ~reach[:, dangling].any(axis=1)
+    on_cycle = safe & reach.diagonal()
+    return [u for u in range(g.node_count) if on_cycle[u] or (safe[u] and reach[on_cycle, u].any())]
 
 
 def reference_absorbing_values(g: DirectedMultigraph, pinned, zero_nodes, alpha, tolerance, max_iterations):
