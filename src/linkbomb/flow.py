@@ -124,7 +124,7 @@ def flow_fraction(
 
 def _has_cycle(g: DirectedMultigraph) -> bool:
     # Only nodes on or behind a cycle survive the peel of source nodes.
-    return bool(_peel(g._indptr, g._heads, np.ones(g.node_count, dtype=bool)).any())
+    return bool(_peel(g._indptr, g._heads, np.ones(g.node_count, dtype=bool), g.node_count).any())
 
 
 def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) -> FlowResult:

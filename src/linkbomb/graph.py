@@ -55,7 +55,11 @@ def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.nd
     Every edge is checked at once for node range, self-loops and
     multiplicity >= 1; the first offending edge is reported, prefixed with
     its input line number when `lines` gives one per edge. Repeated (u, v)
-    pairs are summed. Returns (indptr, heads, mult).
+    pairs are summed. Returns (indptr, heads, mult), all new arrays.
+
+    Edges already in strictly increasing (u, v) order, as in every file
+    dumps_edgelist writes, skip the sort: their heads and multiplicities
+    are copied as they are.
     """
     bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads) | (mult < 1)
     if bad.any():
@@ -68,12 +72,17 @@ def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.nd
         else:
             msg = f"edge multiplicity must be >= 1, got {m}"
         raise ValueError(msg if lines is None else f"line {lines[i]}: {msg}")
-    keys, inverse = np.unique(tails * n + heads, return_inverse=True)
-    summed = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(summed, inverse, mult)
+    keys = tails * n + heads
+    if np.all(keys[1:] > keys[:-1]):
+        heads, summed = heads.astype(np.int64), mult.astype(np.int64)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        summed = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(summed, inverse, mult)
+        tails, heads = keys // n, keys % n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    return indptr, keys % n, summed
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr, heads, summed
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -98,21 +107,34 @@ def _unique(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
     return nodes[stamp[nodes] == at]
 
 
-def _peel(indptr: np.ndarray, targets: np.ndarray, alive: np.ndarray) -> np.ndarray:
+def _peel(indptr: np.ndarray, targets: np.ndarray, alive: np.ndarray, rounds: int) -> np.ndarray | None:
     """Clear, round by round, every node of the mask `alive` with no CSR
-    entry from an alive row, in O(n + E). The nodes left are those on or
-    behind a cycle of alive nodes; `alive` must be closed under the rows'
-    targets."""
+    entry from an alive row, in O(n + E), or return None when that takes
+    more than `rounds` rounds (n rounds always suffice). The nodes left are
+    those on or behind a cycle of alive nodes; `alive` must be closed under
+    the rows' targets."""
     stamp = np.empty(len(alive), dtype=np.intp)
     tails = np.repeat(np.arange(len(alive)), np.diff(indptr))
     indeg = np.bincount(targets[alive[tails]], minlength=len(alive))
     free = np.flatnonzero(alive & (indeg == 0))
     while len(free):
+        if not rounds:
+            return None
+        rounds -= 1
         alive[free] = False
         nxt = _step(indptr, targets, free)
         np.subtract.at(indeg, nxt, 1)
         free = _unique(nxt[indeg[nxt] == 0], stamp)
     return alive
+
+
+# Most rounds, search and peel levels together, that `_closed_nodes` runs.
+# Model graphs need few: 30 for mwdta at n = 5000 and 36 at n = 2e4, 8 for
+# random and 4 for ba at n = 1e5 (E = 5n). A round costs about 20 us on a
+# 2-vCPU x86 VM however small its frontier, so without a budget a 20000-node
+# path took 220-280 ms to search against a 12 ms solve. Past the budget the
+# graph is iterated whole.
+_CLOSED_ROUNDS = 256
 
 
 def _distances(indptr: np.ndarray, targets: np.ndarray, start: int) -> np.ndarray:
@@ -307,33 +329,39 @@ class DirectedMultigraph:
             self._cache["trans"] = m
         return m
 
-    def _closed_nodes(self) -> np.ndarray:
+    def _closed_nodes(self) -> np.ndarray | None:
         """Ids, ascending, of the nodes that reach no dangling node and
-        survive the peel of source nodes (`_peel`).
+        survive the peel of source nodes (`_peel`), or None when finding
+        them takes more than _CLOSED_ROUNDS rounds.
 
         The set is closed under out-edges and holds every closed strong
         component with an edge in it. A breadth-first search from the
         dangling nodes over the transition matrix's rows (the in-edges)
         finds the nodes that can lose flow; the peel then drops the
-        acyclic nodes feeding the rest. O(n + E).
+        acyclic nodes feeding the rest. O(n + E) work, in one numpy round
+        per search level and per peel level.
         """
-        q = self._cache.get("closed")
-        if q is None:
+        if "closed" not in self._cache:
             t = self.transition_matrix()
             # scipy's int32 index arrays would be cast on every gather below
             indptr, tails = t.indptr.astype(np.intp), t.indices.astype(np.intp)
             stamp = np.empty(self._n, dtype=np.intp)
             leaky = self._degrees()[0] == 0
             frontier = np.flatnonzero(leaky)
-            while len(frontier):
+            rounds = _CLOSED_ROUNDS
+            while len(frontier) and rounds:
+                rounds -= 1
                 nxt = _step(indptr, tails, frontier)
                 nxt = nxt[~leaky[nxt]]
                 leaky[nxt] = True
                 frontier = _unique(nxt, stamp)
             alive = ~leaky
-            q = np.flatnonzero(_peel(self._indptr, self._heads, alive) if alive.any() else alive)
-            self._cache["closed"] = q
-        return q
+            if len(frontier):  # the search ran out of rounds
+                alive = None
+            elif alive.any():
+                alive = _peel(self._indptr, self._heads, alive, rounds)
+            self._cache["closed"] = None if alive is None else np.flatnonzero(alive)
+        return self._cache["closed"]
 
 
 # ---- edge-list text format ---------------------------------------------------
@@ -345,11 +373,8 @@ class DirectedMultigraph:
 
 MAX_NODES = 10_000_000  # largest node count a "# nodes N" directive or a node id may give
 _MAX_DIGITS = 18  # every field of at most 18 digits fits in int64
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-_PLAIN = np.zeros(256, dtype=bool)  # the bytes a plain text may hold outside comments
-_PLAIN[list(b"0123456789 \t\n")] = True
-_CONTROL = np.ones(256, dtype=bool)  # the bytes a plain text may not hold even in comments
-_CONTROL[[*b"\t\n", *range(32, 128)]] = False
+_PLAIN = b"0123456789 \t\n"  # the bytes a plain text may hold outside comments
+_PRINTABLE = bytes([*b"\t\n", *range(32, 128)])  # the bytes it may hold in comments
 
 
 def dumps_edgelist(g: DirectedMultigraph) -> str:
@@ -404,24 +429,28 @@ def _parse_plain(text: str):
 
     Comments are found with bytes.find and blanked; their directives go
     through `_directive`, and a faulty one sends the text to the per-line
-    path, which reports the first fault. Digit runs are marked on the byte
-    array and each run's value is one np.add.reduceat over digit * 10**k;
-    a field's line is the number of newlines before it, plus one.
+    path, which reports the first fault. Each byte-set check (no control
+    byte inside a comment; only digits, space, tab and newline outside
+    them) is one bytes.translate that deletes the allowed bytes and must
+    leave nothing. Field starts and ends are the edges of the digit runs;
+    once every run is known to be at most 18 digits long, one
+    np.fromstring reads all the values from the comment-blanked bytes.
+    One np.searchsorted of the newline positions into the field starts
+    counts the fields of every line.
     """
     if not text.isascii():
         return None
     raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == 10)
+    newlines = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == 10)
     declared = None
     pos = raw.find(b"#")
     if pos >= 0:
-        if _CONTROL[buf].any():
-            return None
         blanked = bytearray(raw)
         while pos >= 0:
             end = raw.find(b"\n", pos)
             end = len(raw) if end < 0 else end
+            if raw[pos:end].translate(None, _PRINTABLE):
+                return None
             blanked[pos:end] = b" " * (end - pos)
             start = raw.rfind(b"\n", 0, pos) + 1
             words = text[pos + 1:end].split()
@@ -431,31 +460,33 @@ def _parse_plain(text: str):
                 except ValueError:
                     return None
             pos = raw.find(b"#", end)
-        buf = np.frombuffer(blanked, dtype=np.uint8)
-    if not _PLAIN[buf].all():
+        raw = bytes(blanked)
+        del blanked
+    if raw.translate(None, _PLAIN):
         return None
-    digit = buf - np.uint8(48)
-    is_digit = digit < 10
-    edge = np.diff(is_digit.view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    del edge
-    lengths = ends - starts
-    if len(lengths) and lengths.max() > _MAX_DIGITS:
+    # every byte is now a digit or whitespace; pad the digit mask so that
+    # each run has a rising and a falling edge
+    is_digit = np.zeros(len(raw) + 2, dtype=bool)
+    np.greater_equal(np.frombuffer(raw, dtype=np.uint8), ord("0"), out=is_digit[1:-1])
+    starts = np.flatnonzero(is_digit[1:] > is_digit[:-1])
+    if len(starts) and (np.flatnonzero(is_digit[:-1] > is_digit[1:]) - starts).max() > _MAX_DIGITS:
         return None
-    at = np.flatnonzero(is_digit)
-    power = np.repeat(ends - 1, lengths)
-    power -= at
-    fields = np.add.reduceat(_POW10[power] * digit[at], np.cumsum(lengths) - lengths) if len(at) else at
-    del at, power
-    line = np.searchsorted(newlines, starts)
-    first = np.flatnonzero(np.diff(line, prepend=-1))
-    count = np.diff(first, append=len(line))
+    del is_digit
+    # np.fromstring reads whitespace alone as one 0, hence the guard
+    fields = np.fromstring(raw, dtype=np.int64, sep=" ") if len(starts) else starts
+    # line k + 1 holds fields[bounds[k]:bounds[k + 1]]
+    bounds = np.empty(len(newlines) + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, len(starts)
+    bounds[1:-1] = np.searchsorted(starts, newlines)
+    count = bounds[1:] - bounds[:-1]
+    rows = np.flatnonzero(count)
+    count, first = count[rows], bounds[rows]
     if np.any((count < 2) | (count > 3)):
         return None
     mult = np.ones(len(first), dtype=np.int64)
     triple = count == 3
     mult[triple] = fields[first[triple] + 2]
-    return declared, fields[first], fields[first + 1], mult, line[first] + 1
+    return declared, fields[first], fields[first + 1], mult, rows + 1
 
 
 def _parse_lines(text: str):

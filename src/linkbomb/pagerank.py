@@ -29,9 +29,9 @@ converges on the other rows alone, and one dense solve of
 max-norm defect of the returned scores over every row, Q included. The
 scores differ from the plain iteration's in the last digits only, within
 the certified bound |p - p*|_1 <= |r|_1 / (1 - alpha) of each, r being
-the defect vector. A graph whose Q is empty or larger, or whose dense
-solve misses the tolerance, is iterated whole, bit for bit as before;
-so is every solve at alpha = 0 or 1.
+the defect vector. A graph whose Q is empty or larger, too deep for the
+finder's round budget, or whose dense solve misses the tolerance, is
+iterated whole, bit for bit as before; so is every solve at alpha = 0 or 1.
 
 `compute_pageranks` solves several graphs at once, in stacks of a bounded
 number of rows, and `compute_pagerank` is its one-graph case. A stack's
@@ -226,12 +226,12 @@ _NONE = np.zeros(0, dtype=np.intp)
 
 def _deflated_nodes(g: DirectedMultigraph, alpha: float) -> np.ndarray:
     """The closed nodes of g (`DirectedMultigraph._closed_nodes`) that its
-    solve deflates: all of them for 0 < alpha < 1 if there are at most
-    _DENSE_ROWS, none otherwise."""
+    solve deflates: all of them for 0 < alpha < 1 if they were found and
+    there are at most _DENSE_ROWS, none otherwise."""
     if not 0.0 < alpha < 1.0:
         return _NONE
     q = g._closed_nodes()
-    return q if len(q) <= _DENSE_ROWS else _NONE
+    return q if q is not None and len(q) <= _DENSE_ROWS else _NONE
 
 
 def _power(graphs, closed, cfg: PageRankConfig):

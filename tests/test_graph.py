@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -13,7 +16,7 @@ from linkbomb import (
     load_edgelist,
     loads_edgelist,
 )
-from linkbomb.graph import MAX_NODES
+from linkbomb.graph import MAX_NODES, _coalesce
 
 from util import (
     ReferenceMultigraph,
@@ -21,6 +24,7 @@ from util import (
     reachability,
     reference_apply_attack,
     reference_closed_nodes,
+    reference_coalesce,
     reference_dumps_edgelist,
     reference_loads_edgelist,
 )
@@ -461,6 +465,90 @@ def test_model_graphs_never_reach_the_per_line_path(monkeypatch):
     for g in graphs:
         assert loads_edgelist(dumps_edgelist(g)) == g
     assert calls == []
+
+
+@functools.lru_cache(maxsize=None)
+def _model_file(model: str, n: int) -> str:
+    return dumps_edgelist(generate(GeneratorConfig(model, n, seed=3, target_expected_edges=5 * n)))
+
+
+def _wide_plain_file() -> str:
+    """Seven-digit ids under '# nodes 9999999', tab and space gaps, trailing
+    comments, blank and comment lines, multiplicities up to 18 digits."""
+    rng = np.random.default_rng(12)
+    lines = ["# nodes 9999999"]
+    for _ in range(20000):
+        kind = rng.random()
+        if kind < 0.03:
+            lines.append(str(rng.choice(["", "\t", "# a note", "  # 1 2 3"])))
+            continue
+        fields = [str(x) for x in rng.integers(1_000_000, 9_999_999, size=2)]
+        if kind < 0.25:
+            fields.append(str(rng.integers(1, 10 ** int(rng.integers(1, 19)))))
+        gap = str(rng.choice([" ", "\t", "  \t", "\t "]))
+        tail = str(rng.choice(["", "", " ", "\t# trailing 12", " #"]))
+        lines.append(str(rng.choice(["", " ", "\t"])) + gap.join(fields) + tail)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["random", "ba", "mwdta", "wide"])
+def test_byte_path_matches_per_line_path_on_large_files(source):
+    text = _wide_plain_file() if source == "wide" else _model_file(source, 5000)
+    plain = linkbomb.graph._parse_plain(text)
+    lines = linkbomb.graph._parse_lines(text)
+    assert plain is not None
+    assert plain[0] == lines[0]
+    for got, want in zip(plain[1:], lines[1:]):  # tails, heads, multiplicities, line numbers
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", ["random", "mwdta"])
+def test_loading_peaks_within_20_bytes_per_input_byte(model):
+    text = _model_file(model, 20000 if model == "random" else 5000)
+    tracemalloc.start()
+    try:
+        g = loads_edgelist(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == (20000 if model == "random" else 5000)
+    assert peak <= 20 * len(text)
+
+
+@st.composite
+def _ordered_columns(draw):
+    """Valid edge columns in one of three orders: strictly increasing (u, v),
+    increasing with repeated pairs, or shuffled."""
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(lambda e: (e[0], e[1] + (e[1] >= e[0])))
+    edges = draw(st.lists(st.tuples(pair, st.integers(1, 4)), max_size=40))
+    order = draw(st.sampled_from(["distinct", "repeats", "shuffled"]))
+    if order == "distinct":
+        edges = sorted(dict(edges).items())
+    elif order == "repeats":
+        edges = sorted(edges + edges[: len(edges) // 2], key=lambda e: e[0])
+    else:
+        edges = draw(st.permutations(edges))
+    event(order)
+    cols = np.array([(u, v, m) for (u, v), m in edges], dtype=np.int64).reshape(-1, 3)
+    return n, cols[:, 0].copy(), cols[:, 1].copy(), cols[:, 2].copy()
+
+
+@settings(max_examples=300)
+@given(_ordered_columns())
+def test_coalesce_matches_sort_and_sum(columns):
+    n, tails, heads, mult = columns
+    for got, want in zip(_coalesce(n, tails, heads, mult), reference_coalesce(n, tails, heads, mult)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_coalesce_copies_the_callers_columns():
+    tails, heads, mult = np.array([0, 1, 1]), np.array([1, 0, 2]), np.array([3, 1, 2])  # sorted: no merge
+    g = DirectedMultigraph(3, _coalesce(3, tails, heads, mult))
+    assert all(a.flags.writeable for a in (tails, heads, mult))
+    assert not any(np.shares_memory(a, b) for a in (tails, heads, mult) for b in (g._indptr, g._heads, g._mult))
+    mult[0] = 7
+    assert g.multiplicity(0, 1) == 3
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import linkbomb.graph
 import linkbomb.pagerank
 from linkbomb import (
     ConvergenceError,
@@ -21,6 +22,7 @@ from linkbomb import (
     rank_of,
     verify_sum_identity,
 )
+from linkbomb.graph import _CLOSED_ROUNDS
 from linkbomb.pagerank import _DENSE_ROWS, _deflated_nodes
 
 from util import mixed_model_graph, reference_compute_pagerank, small_random_graph
@@ -411,6 +413,34 @@ def test_deflation_cuts_mwdta_iterations():
     assert _deflated_nodes(g, 0.85).tolist() == [0, 1]
     assert compute_pagerank(g, cfg).iterations <= 25
     assert reference_compute_pagerank(g, cfg).iterations >= 100
+
+
+def _path(n, closed_pair):
+    """0 -> 1 -> ... -> n-1, leaking at its dangling end, or with n-1 -> n-2
+    closing the last two nodes into a pair that the whole path feeds."""
+    edges = {(i, i + 1): 1 for i in range(n - 1)}
+    if closed_pair:
+        edges[(n - 1, n - 2)] = 1
+    return DirectedMultigraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("closed_pair", [False, True])
+def test_closed_set_search_is_bounded_on_deep_graphs(monkeypatch, closed_pair):
+    """The leaky path needs one search round per node, the closed pair's
+    path one peel round per node: past the budget the finder gives up, and
+    the graph is iterated whole, as the undeflated loop does."""
+    steps = []
+    step = linkbomb.graph._step
+    monkeypatch.setattr(linkbomb.graph, "_step", lambda *args: steps.append(1) or step(*args))
+    g = _path(3 * _CLOSED_ROUNDS, closed_pair)
+    assert g._closed_nodes() is None
+    assert 0 < len(steps) <= _CLOSED_ROUNDS
+    assert not len(_deflated_nodes(g, 0.85))
+    cfg = PageRankConfig(0.85)
+    assert_same_solve(compute_pagerank(g, cfg), reference_compute_pagerank(g, cfg))
+    # within the budget the closed pair is still found and deflated
+    n = _CLOSED_ROUNDS // 2
+    assert _deflated_nodes(_path(n, closed_pair), 0.85).tolist() == ([n - 2, n - 1] if closed_pair else [])
 
 
 @settings(max_examples=60, deadline=None)

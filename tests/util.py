@@ -403,6 +403,17 @@ def reference_dumps_edgelist(g: ReferenceMultigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_coalesce(n: int, tails, heads, mult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort-and-sum merge of valid edge columns into (indptr, heads, mult):
+    the oracle for `graph._coalesce`, whose sorted input skips the sort."""
+    keys, inverse = np.unique(tails * n + heads, return_inverse=True)
+    summed = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(summed, inverse, mult)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, summed
+
+
 def reference_loads_edgelist(text: str) -> DirectedMultigraph:
     """Line-by-line edge-list parser (int() per field), the oracle for
     graph.loads_edgelist: same graph or the same ValueError message."""
