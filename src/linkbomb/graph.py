@@ -10,6 +10,7 @@ instances can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import itertools
+import math
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -29,24 +30,25 @@ __all__ = [
 def _edge_columns(n: int, pairs, mults) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 (tail, head, multiplicity) columns from Python (u, v) pairs.
 
-    Node ids must be ints or numpy integers (bools are rejected);
-    multiplicities go through int(). Range, self-loop and multiplicity
-    checks are left to _coalesce.
+    Node ids and multiplicities must be ints or numpy integers (bools are
+    rejected). Range, self-loop and multiplicity checks are left to
+    _coalesce.
     """
-    if any(len(p) != 2 for p in pairs):
-        raise ValueError(f"edge key must be a (u, v) pair, got {next(p for p in pairs if len(p) != 2)!r}")
+    bad = [p for p in pairs if not isinstance(p, tuple) or len(p) != 2]
+    if bad:
+        raise ValueError(f"edge key must be a (u, v) pair, got {bad[0]!r}")
     ids = list(itertools.chain.from_iterable(pairs))
-    for t in set(map(type, ids)):
+    values = ids + list(mults)
+    for t in set(map(type, values)):
         if t is bool or not issubclass(t, (int, np.integer)):
-            raise ValueError(f"node id must be an integer, got {next(x for x in ids if type(x) is t)!r}")
+            i = next(i for i, x in enumerate(values) if type(x) is t)
+            raise ValueError(f"{'node id' if i < len(ids) else 'edge multiplicity'} must be an integer, got {values[i]!r}")
     try:
-        uv = np.array(ids, dtype=np.int64).reshape(-1, 2)
+        cols = np.array(values, dtype=np.int64)
     except OverflowError:
-        raise ValueError(f"node id out of range [0, {n})") from None
-    m = np.asarray(mults)
-    if m.dtype.kind not in "iu":
-        m = np.array([int(x) for x in mults], dtype=np.int64)
-    return uv[:, 0], uv[:, 1], m.astype(np.int64, copy=False)
+        i = next(i for i, x in enumerate(values) if not -(2**63) <= x < 2**63)
+        raise ValueError(f"node id out of range [0, {n})" if i < len(ids) else f"edge multiplicity {values[i]} out of int64 range") from None
+    return cols[0:len(ids):2], cols[1:len(ids):2], cols[len(ids):]
 
 
 def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,18 +139,30 @@ def _peel(indptr: np.ndarray, targets: np.ndarray, alive: np.ndarray, rounds: in
 _CLOSED_ROUNDS = 256
 
 
-def _distances(indptr: np.ndarray, targets: np.ndarray, start: int) -> np.ndarray:
-    """Breadth-first hop counts from `start` over CSR rows (inf when unreachable)."""
-    dist = np.full(len(indptr) - 1, np.inf)
-    dist[start] = 0
-    frontier = np.array([start])
+def _search(m: sp.csr_matrix, sources, rounds: float = math.inf) -> tuple[np.ndarray, int] | None:
+    """Breadth-first hop counts from the nodes `sources` along the rows of
+    the CSR matrix `m` (inf when unreachable), and the rounds of the
+    budget `rounds` left; None when the search takes more rounds than that.
+
+    One numpy round per level, each frontier deduplicated by `_unique`; the
+    round that finds the last frontier empty counts too. O(n + E) work.
+    """
+    # scipy's int32 index arrays would be cast on every gather below
+    indptr, targets = m.indptr.astype(np.intp), m.indices.astype(np.intp)
+    dist = np.full(m.shape[0], np.inf)
+    stamp = np.empty(m.shape[0], dtype=np.intp)
+    frontier = np.asarray(sources, dtype=np.intp)
+    dist[frontier] = 0
     d = 0
     while len(frontier):
+        if d == rounds:
+            return None
         d += 1
         nxt = _step(indptr, targets, frontier)
-        frontier = np.unique(nxt[dist[nxt] == np.inf])
-        dist[frontier] = d
-    return dist
+        nxt = nxt[dist[nxt] == np.inf]
+        dist[nxt] = d
+        frontier = _unique(nxt, stamp)
+    return dist, rounds - d
 
 
 class DirectedMultigraph:
@@ -241,27 +255,19 @@ class DirectedMultigraph:
         return zip(self._tails().tolist(), self._heads.tolist(), self._mult.tolist())
 
     def out_degree(self, u: int) -> int:
-        return int(self._degrees()[0][self._check_node(u)])
-
-    def in_degree(self, v: int) -> int:
-        return int(self._degrees()[1][self._check_node(v)])
+        return int(self._out_degrees()[self._check_node(u)])
 
     def out_degrees(self) -> np.ndarray:
-        return self._degrees()[0].copy()
+        return self._out_degrees().copy()
 
     def in_degrees(self) -> np.ndarray:
-        return self._degrees()[1].copy()
+        return np.bincount(self._heads, weights=self._mult, minlength=self._n).astype(np.int64)
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """(head, multiplicity) pairs for edges leaving u."""
         u = self._check_node(u)
         row = slice(self._indptr[u], self._indptr[u + 1])
         return list(zip(self._heads[row].tolist(), self._mult[row].tolist()))
-
-    def in_edges(self, v: int) -> list[tuple[int, int]]:
-        """(tail, multiplicity) pairs for edges entering v."""
-        into = self._heads == self._check_node(v)
-        return list(zip(self._tails()[into].tolist(), self._mult[into].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirectedMultigraph):
@@ -288,9 +294,11 @@ class DirectedMultigraph:
     # ---- distances --------------------------------------------------------
 
     def distances_to(self, v: int) -> list[float]:
-        """BFS distances from every node to v, via reverse edges."""
-        indptr, tails, _mult = _coalesce(self._n, self._heads, self._tails(), self._mult)
-        return _distances(indptr, tails, self._check_node(v)).tolist()
+        """Hop counts from every node to v (inf when v is unreachable): a
+        breadth-first search from v over the transition matrix's rows,
+        which are the in-edges."""
+        v = self._check_node(v)
+        return _search(self.transition_matrix(), [v])[0].tolist()
 
     # ---- derived arrays and cached operators -------------------------------
 
@@ -298,15 +306,11 @@ class DirectedMultigraph:
         """Tail of every stored edge, aligned with heads and mult."""
         return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
 
-    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(out-degrees, in-degrees), counting multiplicity."""
+    def _out_degrees(self) -> np.ndarray:
+        """Out-degrees, counting multiplicity."""
         deg = self._cache.get("deg")
         if deg is None:
-            deg = tuple(
-                np.bincount(ends, weights=self._mult, minlength=self._n).astype(np.int64)
-                for ends in (self._tails(), self._heads)
-            )
-            self._cache["deg"] = deg
+            deg = self._cache["deg"] = np.bincount(self._tails(), weights=self._mult, minlength=self._n).astype(np.int64)
         return deg
 
     def forward_matrix(self) -> sp.csr_matrix:
@@ -316,7 +320,7 @@ class DirectedMultigraph:
         """
         m = self._cache.get("fwd")
         if m is None:
-            data = self._mult / self._degrees()[0][self._tails()]
+            data = self._mult / self._out_degrees()[self._tails()]
             m = sp.csr_matrix((data, self._heads, self._indptr), shape=(self._n, self._n))
             self._cache["fwd"] = m
         return m
@@ -335,31 +339,17 @@ class DirectedMultigraph:
         them takes more than _CLOSED_ROUNDS rounds.
 
         The set is closed under out-edges and holds every closed strong
-        component with an edge in it. A breadth-first search from the
-        dangling nodes over the transition matrix's rows (the in-edges)
-        finds the nodes that can lose flow; the peel then drops the
-        acyclic nodes feeding the rest. O(n + E) work, in one numpy round
-        per search level and per peel level.
+        component with an edge in it. `_search` from the dangling nodes
+        over the transition matrix's rows (the in-edges) finds the nodes
+        that can lose flow; the peel then drops the acyclic nodes feeding
+        the rest, with the rounds the search left. O(n + E) work, in one
+        numpy round per search level and per peel level.
         """
         if "closed" not in self._cache:
-            t = self.transition_matrix()
-            # scipy's int32 index arrays would be cast on every gather below
-            indptr, tails = t.indptr.astype(np.intp), t.indices.astype(np.intp)
-            stamp = np.empty(self._n, dtype=np.intp)
-            leaky = self._degrees()[0] == 0
-            frontier = np.flatnonzero(leaky)
-            rounds = _CLOSED_ROUNDS
-            while len(frontier) and rounds:
-                rounds -= 1
-                nxt = _step(indptr, tails, frontier)
-                nxt = nxt[~leaky[nxt]]
-                leaky[nxt] = True
-                frontier = _unique(nxt, stamp)
-            alive = ~leaky
-            if len(frontier):  # the search ran out of rounds
-                alive = None
-            elif alive.any():
-                alive = _peel(self._indptr, self._heads, alive, rounds)
+            found = _search(self.transition_matrix(), np.flatnonzero(self._out_degrees() == 0), _CLOSED_ROUNDS)
+            alive = None if found is None else found[0] == np.inf
+            if alive is not None and alive.any():
+                alive = _peel(self._indptr, self._heads, alive, found[1])
             self._cache["closed"] = None if alive is None else np.flatnonzero(alive)
         return self._cache["closed"]
 

@@ -80,7 +80,7 @@ def test_apply_attack_replaces_out_edges():
     attacked = apply_attack(g, spec)
     assert attacked.out_degree(1) == 1
     assert attacked.multiplicity(1, 0) == 1
-    assert attacked.in_degree(1) == 2  # in-edges preserved
+    assert attacked.in_degrees()[1] == 2  # in-edges preserved
     assert attacker_edges_only_differ(g, attacked, (1,))
 
 

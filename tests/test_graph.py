@@ -16,6 +16,7 @@ from linkbomb import (
     load_edgelist,
     loads_edgelist,
 )
+from linkbomb.disguise import _staged
 from linkbomb.graph import MAX_NODES, _coalesce
 
 from util import (
@@ -50,7 +51,7 @@ def test_add_edge_accumulates_multiplicity():
     g = DirectedMultigraph(3).add_edge(0, 1).add_edge(0, 1)
     assert g.multiplicity(0, 1) == 2
     assert g.out_degree(0) == 2
-    assert g.in_degree(1) == 2
+    assert g.in_degrees()[1] == 2
 
 
 def test_add_edge_degree_sum():
@@ -91,7 +92,7 @@ def test_remove_out_edges():
     star = DirectedMultigraph.from_edges(6, [(0, v) for v in range(1, 6)] + [(3, 0)])
     stripped = star.remove_out_edges(0)
     assert stripped.out_degree(0) == 0
-    assert stripped.in_degree(0) == 1  # in-edges preserved
+    assert stripped.in_degrees()[0] == 1  # in-edges preserved
     assert stripped.edge_count == 1
 
 
@@ -115,7 +116,7 @@ def test_degree_sums_conserved(steps, removals):
         g = g.remove_out_edges(v)
     total = g.edge_count
     assert sum(g.out_degree(v) for v in range(6)) == total
-    assert sum(g.in_degree(v) for v in range(6)) == total
+    assert g.in_degrees().sum() == total
 
 
 @given(edit_steps, st.integers(0, 5), st.integers(0, 5))
@@ -193,7 +194,6 @@ def test_csr_core_matches_reference(graph):
     assert g.edge_count == ref.edge_count
     for u in range(n):
         assert sorted(g.out_edges(u)) == sorted(ref.out_edges(u))
-        assert sorted(g.in_edges(u)) == sorted(ref.in_edges(u))
         for v in range(n):
             assert g.multiplicity(u, v) == ref.multiplicity(u, v)
     assert _same_matrix(g.forward_matrix(), ref.forward_matrix())
@@ -207,6 +207,56 @@ def test_csr_walks_match_reference(graph, v):
     g, ref = _pair(n, triples)
     v %= n
     assert g.distances_to(v) == ref.distances_to(v)
+
+
+@pytest.mark.parametrize("model", ["random", "ba", "mwdta"])
+def test_distances_match_reference_on_model_graphs(model):
+    """Model graphs with three attackers stripped, as the disguise scan
+    stages them, against the reference's Python search."""
+    rng = np.random.default_rng(11)
+    g = generate(GeneratorConfig(model, 2000, seed=11, target_expected_edges=10000))
+    staged = _staged(g, rng.choice(2000, 3, replace=False).tolist())
+    ref = ReferenceMultigraph.from_edges(2000, list(staged.edges()))
+    for v in rng.choice(2000, 5, replace=False).tolist():
+        assert staged.distances_to(v) == ref.distances_to(v)
+
+
+def test_distances_have_no_round_budget():
+    n = 20000
+    path = DirectedMultigraph.from_edges(n, {(i, i + 1): 1 for i in range(n - 1)})
+    assert path.distances_to(n - 1) == list(range(n - 1, -1, -1))
+
+
+def test_distances_reuse_the_transition_matrix(monkeypatch):
+    g = generate(GeneratorConfig("mwdta", 200, seed=4))
+    want = ReferenceMultigraph.from_edges(200, list(g.edges())).distances_to(0)
+    calls = []
+    coalesce = linkbomb.graph._coalesce
+    monkeypatch.setattr(linkbomb.graph, "_coalesce", lambda *args: calls.append(1) or coalesce(*args))
+    t = g.transition_matrix()
+    assert g.distances_to(0) == want
+    g.distances_to(7)
+    assert calls == []
+    assert g.transition_matrix() is t
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DirectedMultigraph(3).add_edge(0, 1, 2.5), "edge multiplicity must be an integer, got 2.5"),
+        (lambda: apply_attack(DirectedMultigraph(3), AttackSpec((1,), 0, {1: {0: 1.5}})), "edge multiplicity must be an integer, got 1.5"),
+        (lambda: DirectedMultigraph.from_edges(3, [(0, 1, np.float64(3.9))]), "edge multiplicity must be an integer, got .*3.9"),
+        (lambda: DirectedMultigraph.from_edges(3, [(0, 1, "2")]), "edge multiplicity must be an integer, got '2'"),
+        (lambda: DirectedMultigraph.from_edges(3, [(0, 1, True)]), "edge multiplicity must be an integer, got True"),
+        (lambda: DirectedMultigraph.from_edges(3, {5: 1}), r"edge key must be a \(u, v\) pair, got 5"),
+        (lambda: DirectedMultigraph.from_edges(3, {(0, 1): 2**63}), f"edge multiplicity {2**63} out of int64 range"),
+    ],
+    ids=["add_edge", "apply_attack", "float64", "str", "bool", "bare key", "past int64"],
+)
+def test_malformed_edges_are_rejected(build, message):
+    """Multiplicities follow the node-id rule: ints or numpy integers, no bools."""
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @st.composite

@@ -133,12 +133,11 @@ def test_rank_of():
 
 
 def _equation_residual(g, prv):
-    worst = 0.0
+    acc = [0] * g.node_count
+    for j, i, m in g.edges():
+        acc[i] += prv.scores[j] * m / g.out_degree(j)
     jump = (1 - prv.alpha) / g.node_count
-    for i in range(g.node_count):
-        acc = sum(prv.scores[j] * m / g.out_degree(j) for (j, m) in g.in_edges(i))
-        worst = max(worst, abs(prv.scores[i] - prv.alpha * acc - jump))
-    return worst
+    return max(abs(prv.scores[i] - prv.alpha * acc[i] - jump) for i in range(g.node_count))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.85, 0.95]))
