@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph
+from .graph import DirectedMultigraph, _integers, _node_ids
 from .pagerank import PageRankConfig, PageRankVector, compute_pagerank, rank_of
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "enumerate_alternative_attacks",
 ]
 
-PATTERN_TAGS = ("individual", "star", "tree", "cycle", "complete", "custom")
-
-
 @dataclass(frozen=True)
 class AttackSpec:
     """Attackers, victim, and the out-edges each attacker will end up with.
@@ -34,22 +31,24 @@ class AttackSpec:
     `assignment` maps attacker -> {head: multiplicity}; attackers missing
     from it (or mapped to an empty dict) are left dangling. The victim may
     be a member of `attackers` only in link-farm setups; the standard
-    constructors reject that.
+    constructors reject that. Node ids and multiplicities must be ints or
+    numpy integers; attackers and victim are stored as Python ints.
     """
 
     attackers: tuple[int, ...]
     victim: int
     assignment: dict[int, dict[int, int]]
-    pattern_tag: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "attackers", tuple(int(a) for a in self.attackers))
+        *attackers, victim = _integers("node id", (*self.attackers, self.victim))
+        object.__setattr__(self, "attackers", tuple(attackers))
+        object.__setattr__(self, "victim", victim)
+        _integers("node id", [*self.assignment, *(h for t in self.assignment.values() for h in t)])
+        _integers("edge multiplicity", [m for t in self.assignment.values() for m in t.values()])
         if not self.attackers:
             raise ValueError("attack needs at least one attacker")
         if len(set(self.attackers)) != len(self.attackers):
             raise ValueError(f"attackers must be distinct, got {self.attackers}")
-        if self.pattern_tag not in PATTERN_TAGS:
-            raise ValueError(f"unknown pattern tag {self.pattern_tag!r}")
         attacker_set = set(self.attackers)
         for a, targets in self.assignment.items():
             if a not in attacker_set:
@@ -81,8 +80,8 @@ def build_pattern(pattern: str, attackers, victim: int) -> AttackSpec:
       cycle      -- each attacker additionally points at its cyclic successor
       complete   -- each attacker additionally points at every other attacker
     """
-    attackers = tuple(int(a) for a in attackers)
-    victim = int(victim)
+    *attackers, victim = _integers("node id", (*attackers, victim))
+    attackers = tuple(attackers)
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
     # Empty or repeated attackers are left to AttackSpec, so no branch below
@@ -111,12 +110,12 @@ def build_pattern(pattern: str, attackers, victim: int) -> AttackSpec:
             assignment[a] = targets
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    return AttackSpec(attackers=attackers, victim=victim, assignment=assignment, pattern_tag=pattern)
+    return AttackSpec(attackers=attackers, victim=victim, assignment=assignment)
 
 
 def apply_attack(g: DirectedMultigraph, spec: AttackSpec) -> DirectedMultigraph:
     """Replace each attacker's out-edges with the spec assignment."""
-    g._check_node(spec.victim)
+    _node_ids(g.node_count, [spec.victim])
     edges = {(a, head): mult for a in spec.attackers for head, mult in spec.assignment.get(a, {}).items()}
     return g._splice(spec.attackers, edges)
 
@@ -163,8 +162,8 @@ def enumerate_alternative_attacks(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    attackers = tuple(int(a) for a in attackers)
     n = g.node_count
+    *attackers, victim = _node_ids(n, (*attackers, victim))
     specs = [build_pattern("individual", attackers, victim)]
     rng = np.random.default_rng(seed)
     for _ in range(count - 1):
@@ -178,7 +177,5 @@ def enumerate_alternative_attacks(
                     t += 1  # skip the attacker itself
                 targets[t] = targets.get(t, 0) + 1
             assignment[a] = targets
-        specs.append(
-            AttackSpec(attackers=attackers, victim=int(victim), assignment=assignment, pattern_tag="custom")
-        )
+        specs.append(AttackSpec(attackers=attackers, victim=victim, assignment=assignment))
     return specs

@@ -48,7 +48,7 @@ import numpy as np
 
 from .attacks import AttackResult, AttackSpec, _result, apply_attack
 from .flow import _absorbing_values
-from .graph import DirectedMultigraph
+from .graph import DirectedMultigraph, _integers, _node_ids
 from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, _check_alpha, _stacked_pageranks
 
 __all__ = [
@@ -96,7 +96,7 @@ def forward_values(
     tolerance: float = TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
 ) -> ForwardValueMap:
-    target = g._check_node(target)
+    [target] = _node_ids(g.node_count, [target])
     _check_alpha(alpha)
     h, resid, _it = _absorbing_values(g, (target,), frozenset(), alpha, tolerance, max_iterations)
     return ForwardValueMap(target=target, values=h, alpha=alpha, residual=resid)
@@ -131,8 +131,7 @@ def value_of(
     `cfg` also sets the solve's tolerance and iteration cap.
     """
     cfg = _config(alpha, cfg)
-    attacker = g._check_node(attacker)
-    u = g._check_node(u)
+    attacker, u = _node_ids(g.node_count, (attacker, u))
     if u == attacker:
         raise ValueError(f"probe edge ({attacker}, {u}) would be a self-loop")
     probed = g._splice((attacker,), {(attacker, u): 1})
@@ -260,7 +259,9 @@ def optimal_disguised_joint(
     `alpha`; a given `cfg` also sets the absorbing solves' tolerance and
     iteration cap.
     """
-    attackers = tuple(int(a) for a in attackers)
+    *attackers, victim = _node_ids(g.node_count, (*attackers, victim))
+    attackers = tuple(attackers)
+    [ell] = _integers("ell", [ell])
     if victim in attackers:
         raise ValueError(f"victim {victim} cannot be an attacker")
     cfg = _config(alpha, cfg)
@@ -311,24 +312,19 @@ def optimal_link_farm(
     solve's tolerance and iteration cap.
     """
     cfg = _config(alpha, cfg)
-    farm = tuple(int(v) for v in farm_nodes)
+    *farm, target = _node_ids(g.node_count, (*farm_nodes, target))
+    farm = tuple(farm)
     if len(set(farm)) != len(farm):
         raise ValueError(f"farm nodes must be distinct, got {farm}")
     if len(farm) < 2:
         raise ValueError("link farm needs at least 2 nodes to optimize")
-    target = g._check_node(target)
     if target not in farm:
         raise ValueError(f"target {target} must be a farm member")
     members = tuple(v for v in farm if v != target)
-    direct = AttackSpec(
-        attackers=members,
-        victim=target,
-        assignment={a: {target: 1} for a in members},
-        pattern_tag="individual",
-    )
+    direct = AttackSpec(attackers=members, victim=target, assignment={a: {target: 1} for a in members})
     staged = apply_attack(g, direct)
     returns = forward_values(staged, target, alpha, cfg.tolerance, cfg.max_iterations).values
     returns[target] = -np.inf  # no self-loop; argmax takes the first, lowest-id maximum
     assignment = {a: {target: 1} for a in members}
     assignment[target] = {int(np.argmax(returns)): 1}
-    return AttackSpec(attackers=farm, victim=target, assignment=assignment, pattern_tag="custom")
+    return AttackSpec(attackers=farm, victim=target, assignment=assignment)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph, _peel
+from .graph import DirectedMultigraph, _node_ids, _peel
 from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_alpha, _check_limits, _emptied, _iterate
 
 __all__ = [
@@ -109,10 +109,7 @@ def flow_fraction(
     the source, so the source and target act purely as origin/terminal
     even when they sit in the exclusion set.
     """
-    source = g._check_node(q.source)
-    target = g._check_node(q.target)
-    for x in q.excluded:
-        g._check_node(x)
+    source, target, *_ = _node_ids(g.node_count, (q.source, q.target, *q.excluded))
     h, _resid, _it = _absorbing_values(g, (target,), q.excluded, q.alpha, tolerance, max_iterations)
     od = g.out_degree(source)
     if od == 0:
@@ -136,10 +133,7 @@ def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) 
     on the exact fraction with error at most the returned tail bound
     alpha^(max_len+1) / (1 - alpha). Intended for small graphs only.
     """
-    source = g._check_node(q.source)
-    target = g._check_node(q.target)
-    for x in q.excluded:
-        g._check_node(x)
+    source, target, *_ = _node_ids(g.node_count, (q.source, q.target, *q.excluded))
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     alpha = q.alpha

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Mapping, Sized
 from pathlib import Path
-from typing import Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,22 +27,41 @@ __all__ = [
 ]
 
 
+def _integers(what: str, values) -> list[int]:
+    """`values` as Python ints: the one integer rule for node ids,
+    multiplicities and counts that come from outside. Each value must be an
+    int or a numpy integer; a bool, float, string or anything else fails
+    with a ValueError naming `what` rather than being truncated. The type
+    test runs once per distinct type, not once per value, and a batch of
+    plain ints is returned without a copy per value."""
+    values = list(values)
+    types = set(map(type, values))
+    for t in types:
+        if t is bool or not issubclass(t, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer, got {next(x for x in values if type(x) is t)!r}")
+    return values if types <= {int} else list(map(int, values))
+
+
+def _node_ids(n: int, values) -> list[int]:
+    """`values` as Python ints, each an integer (`_integers`) in [0, n)."""
+    ids = _integers("node id", values)
+    for v in ids:
+        if not 0 <= v < n:
+            raise ValueError(f"node id {v} out of range [0, {n})")
+    return ids
+
+
 def _edge_columns(n: int, pairs, mults) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """int64 (tail, head, multiplicity) columns from Python (u, v) pairs.
 
-    Node ids and multiplicities must be ints or numpy integers (bools are
-    rejected). Range, self-loop and multiplicity checks are left to
-    _coalesce.
+    Node ids and multiplicities follow `_integers`. Range, self-loop and
+    multiplicity checks are left to _coalesce.
     """
     bad = [p for p in pairs if not isinstance(p, tuple) or len(p) != 2]
     if bad:
         raise ValueError(f"edge key must be a (u, v) pair, got {bad[0]!r}")
-    ids = list(itertools.chain.from_iterable(pairs))
-    values = ids + list(mults)
-    for t in set(map(type, values)):
-        if t is bool or not issubclass(t, (int, np.integer)):
-            i = next(i for i, x in enumerate(values) if type(x) is t)
-            raise ValueError(f"{'node id' if i < len(ids) else 'edge multiplicity'} must be an integer, got {values[i]!r}")
+    ids = _integers("node id", itertools.chain.from_iterable(pairs))
+    values = ids + _integers("edge multiplicity", mults)
     try:
         cols = np.array(values, dtype=np.int64)
     except OverflowError:
@@ -51,13 +70,19 @@ def _edge_columns(n: int, pairs, mults) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cols[0:len(ids):2], cols[1:len(ids):2], cols[len(ids):]
 
 
+_MAX_TOTAL = 2**63 - 1  # largest total multiplicity, so degrees and merged edges fit in int64
+
+
 def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate edge columns and merge them into row-sorted CSR arrays.
 
     Every edge is checked at once for node range, self-loops and
     multiplicity >= 1; the first offending edge is reported, prefixed with
-    its input line number when `lines` gives one per edge. Repeated (u, v)
-    pairs are summed. Returns (indptr, heads, mult), all new arrays.
+    its input line number when `lines` gives one per edge. The total
+    multiplicity must fit in int64, which bounds every merged multiplicity
+    and degree too; past it, the edge where the running total crosses the
+    limit is reported. Repeated (u, v) pairs are summed. Returns (indptr,
+    heads, mult), all new arrays.
 
     Edges already in strictly increasing (u, v) order, as in every file
     dumps_edgelist writes, skip the sort: their heads and multiplicities
@@ -74,6 +99,15 @@ def _coalesce(n: int, tails, heads, mult, lines=None) -> tuple[np.ndarray, np.nd
         else:
             msg = f"edge multiplicity must be >= 1, got {m}"
         raise ValueError(msg if lines is None else f"line {lines[i]}: {msg}")
+    # Only a total that max * count puts past the limit needs summing. Each
+    # multiplicity is below 2**63, so a uint64 running total is exact up to
+    # the first edge that takes it past the limit.
+    if len(mult) and int(mult.max()) * len(mult) > _MAX_TOTAL:
+        over = np.cumsum(mult, dtype=np.uint64) > np.uint64(_MAX_TOTAL)
+        if over.any():
+            i = int(np.argmax(over))
+            msg = f"total edge multiplicity exceeds {_MAX_TOTAL}"
+            raise ValueError(msg if lines is None else f"line {lines[i]}: {msg}")
     keys = tails * n + heads
     if np.all(keys[1:] > keys[:-1]):
         heads, summed = heads.astype(np.int64), mult.astype(np.int64)
@@ -173,11 +207,9 @@ class DirectedMultigraph:
     def __init__(self, node_count: int, _csr=None):
         """Empty graph on node_count nodes; `_csr` (internal) passes
         validated (indptr, heads, mult) arrays to adopt instead."""
-        if not isinstance(node_count, (int, np.integer)) or isinstance(node_count, bool):
-            raise ValueError(f"node count must be a positive integer, got {node_count!r}")
-        if node_count < 1:
-            raise ValueError(f"node count must be >= 1, got {node_count}")
-        self._n = int(node_count)
+        [self._n] = _integers("node count", [node_count])
+        if self._n < 1:
+            raise ValueError(f"node count must be >= 1, got {self._n}")
         if _csr is None:
             _csr = (np.zeros(self._n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         for a in _csr:
@@ -200,25 +232,17 @@ class DirectedMultigraph:
         else:
             edges = list(edges)
             for e in edges:
-                if len(e) not in (2, 3):
+                if not isinstance(e, Sized) or len(e) not in (2, 3):
                     raise ValueError(f"edge tuple must have 2 or 3 entries, got {e!r}")
             pairs = [(e[0], e[1]) for e in edges]
             mults = [e[2] if len(e) == 3 else 1 for e in edges]
         return cls(n, _coalesce(n, *_edge_columns(n, pairs, mults)))
 
-    def _check_node(self, v) -> int:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"node id must be an integer, got {v!r}")
-        v = int(v)
-        if not 0 <= v < self._n:
-            raise ValueError(f"node id {v} out of range [0, {self._n})")
-        return v
-
     def _splice(self, drop, edges: Mapping | None = None) -> "DirectedMultigraph":
         """Drop every out-edge of the nodes in `drop`, then add `edges`
         ({(u, v): multiplicity}, accumulating onto kept edges), in one rebuild."""
         keep = np.ones(self._n, dtype=bool)
-        keep[[self._check_node(a) for a in drop]] = False
+        keep[_node_ids(self._n, drop)] = False
         tails = self._tails()
         kept = keep[tails]
         edges = edges or {}
@@ -245,8 +269,7 @@ class DirectedMultigraph:
         return int(self._mult.sum())
 
     def multiplicity(self, u: int, v: int) -> int:
-        u = self._check_node(u)
-        v = self._check_node(v)
+        u, v = _node_ids(self._n, (u, v))
         row = slice(self._indptr[u], self._indptr[u + 1])
         return int(self._mult[row][self._heads[row] == v].sum())
 
@@ -255,17 +278,20 @@ class DirectedMultigraph:
         return zip(self._tails().tolist(), self._heads.tolist(), self._mult.tolist())
 
     def out_degree(self, u: int) -> int:
-        return int(self._out_degrees()[self._check_node(u)])
+        [u] = _node_ids(self._n, [u])
+        return int(self._out_degrees()[u])
 
     def out_degrees(self) -> np.ndarray:
         return self._out_degrees().copy()
 
     def in_degrees(self) -> np.ndarray:
-        return np.bincount(self._heads, weights=self._mult, minlength=self._n).astype(np.int64)
+        deg = np.zeros(self._n, dtype=np.int64)
+        np.add.at(deg, self._heads, self._mult)
+        return deg
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """(head, multiplicity) pairs for edges leaving u."""
-        u = self._check_node(u)
+        [u] = _node_ids(self._n, [u])
         row = slice(self._indptr[u], self._indptr[u + 1])
         return list(zip(self._heads[row].tolist(), self._mult[row].tolist()))
 
@@ -297,7 +323,7 @@ class DirectedMultigraph:
         """Hop counts from every node to v (inf when v is unreachable): a
         breadth-first search from v over the transition matrix's rows,
         which are the in-edges."""
-        v = self._check_node(v)
+        [v] = _node_ids(self._n, [v])
         return _search(self.transition_matrix(), [v])[0].tolist()
 
     # ---- derived arrays and cached operators -------------------------------
@@ -307,10 +333,12 @@ class DirectedMultigraph:
         return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self._indptr))
 
     def _out_degrees(self) -> np.ndarray:
-        """Out-degrees, counting multiplicity."""
+        """Out-degrees, counting multiplicity: exact int64 row sums, read
+        off one running total at the row bounds."""
         deg = self._cache.get("deg")
         if deg is None:
-            deg = self._cache["deg"] = np.bincount(self._tails(), weights=self._mult, minlength=self._n).astype(np.int64)
+            total = np.concatenate(([0], np.cumsum(self._mult)))
+            deg = self._cache["deg"] = total[self._indptr[1:]] - total[self._indptr[:-1]]
         return deg
 
     def forward_matrix(self) -> sp.csr_matrix:

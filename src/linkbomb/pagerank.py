@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import DirectedMultigraph, _entries
+from .graph import DirectedMultigraph, _entries, _integers, _node_ids
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -88,8 +88,7 @@ def _check_limits(tolerance: float, max_iterations: int) -> None:
     met, so it is refused here) and an integer iteration cap >= 1."""
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+    _integers("max_iterations", [max_iterations])
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
@@ -371,6 +370,5 @@ def verify_sum_identity(prv: PageRankVector, g: DirectedMultigraph) -> float:
 
 def rank_of(prv: PageRankVector, v: int) -> int:
     """Competition rank of node v: 1 + number of strictly higher scores."""
-    if not 0 <= v < prv.node_count:
-        raise ValueError(f"node id {v} out of range [0, {prv.node_count})")
+    [v] = _node_ids(prv.node_count, [v])
     return 1 + int(np.sum(prv.scores > prv.scores[v]))

@@ -1,4 +1,5 @@
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,18 @@ from linkbomb import (
     AttackSpec,
     DirectedMultigraph,
     GeneratorConfig,
+    PageRankConfig,
     apply_attack,
+    build_pattern,
+    compute_pagerank,
     dumps_edgelist,
+    enumerate_alternative_attacks,
     generate,
     load_edgelist,
     loads_edgelist,
+    optimal_disguised_joint,
+    optimal_link_farm,
+    rank_of,
 )
 from linkbomb.disguise import _staged
 from linkbomb.graph import MAX_NODES, _coalesce
@@ -250,13 +258,74 @@ def test_distances_reuse_the_transition_matrix(monkeypatch):
         (lambda: DirectedMultigraph.from_edges(3, [(0, 1, True)]), "edge multiplicity must be an integer, got True"),
         (lambda: DirectedMultigraph.from_edges(3, {5: 1}), r"edge key must be a \(u, v\) pair, got 5"),
         (lambda: DirectedMultigraph.from_edges(3, {(0, 1): 2**63}), f"edge multiplicity {2**63} out of int64 range"),
+        (lambda: DirectedMultigraph.from_edges(3, [5]), "edge tuple must have 2 or 3 entries, got 5"),
+        (
+            lambda: DirectedMultigraph.from_edges(3, [(0, 1, 2**62), (0, 1, 2**62), (1, 2, 1)]),
+            f"^total edge multiplicity exceeds {2**63 - 1}$",
+        ),
     ],
-    ids=["add_edge", "apply_attack", "float64", "str", "bool", "bare key", "past int64"],
+    ids=["add_edge", "apply_attack", "float64", "str", "bool", "bare key", "past int64", "bare int", "merged past int64"],
 )
 def test_malformed_edges_are_rejected(build, message):
     """Multiplicities follow the node-id rule: ints or numpy integers, no bools."""
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# victim 0; nodes 1 and 2 link to it, 3 and 4 sit one hop further out, 5 two
+_SIX = DirectedMultigraph.from_edges(6, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
+_SIX_SCORES = compute_pagerank(_SIX, PageRankConfig(0.85))
+
+# Entry point -> (what the message names, a call taking the bad value).
+_INTEGER_SITES = {
+    "spec attacker": ("node id", lambda x: AttackSpec((x,), 0, {})),
+    "spec victim": ("node id", lambda x: AttackSpec((4,), x, {})),
+    "spec assignment key": ("node id", lambda x: AttackSpec((1,), 0, {x: {0: 1}})),
+    "spec head": ("node id", lambda x: AttackSpec((4,), 0, {4: {x: 1}})),
+    "spec multiplicity": ("edge multiplicity", lambda x: AttackSpec((4,), 0, {4: {1: x}})),
+    "pattern attacker": ("node id", lambda x: build_pattern("individual", [x], 0)),
+    "pattern victim": ("node id", lambda x: build_pattern("individual", [4], x)),
+    "enumerate attacker": ("node id", lambda x: enumerate_alternative_attacks(_SIX, [x], 0, 2, 2, 1)),
+    "enumerate victim": ("node id", lambda x: enumerate_alternative_attacks(_SIX, [4], x, 2, 2, 1)),
+    "joint attacker": ("node id", lambda x: optimal_disguised_joint(_SIX, [x], 0, 2, 0.85)),
+    "farm member": ("node id", lambda x: optimal_link_farm(_SIX, [0, x, 5], 0, 0.85)),
+    "rank_of": ("node id", lambda x: rank_of(_SIX_SCORES, x)),
+    "joint ell": ("ell", lambda x: optimal_disguised_joint(_SIX, [4], 0, x, 0.85)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_integer_rule_refuses_what_int_would_truncate(site, bad):
+    """Every entry point that takes node ids, multiplicities or ell refuses
+    floats, bools and strings with a ValueError instead of coercing them."""
+    what, call = _INTEGER_SITES[site]
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+def test_numpy_integer_ids_match_python_ints():
+    i = np.int64
+    spec = AttackSpec((i(4),), i(0), {i(4): {i(1): i(2)}})
+    assert spec == AttackSpec((4,), 0, {4: {1: 2}})
+    assert build_pattern("star", [i(4), i(5)], i(0)) == build_pattern("star", [4, 5], 0)
+    plan = optimal_disguised_joint(_SIX, [i(4), i(5)], i(0), i(2), 0.85)
+    ref = optimal_disguised_joint(_SIX, [4, 5], 0, 2, 0.85)
+    assert (plan.attackers, plan.victim, plan.ell, plan.chosen_node, plan.magnitude) == (
+        ref.attackers, ref.victim, ref.ell, ref.chosen_node, ref.magnitude
+    )
+    assert {type(v) for v in (*spec.attackers, spec.victim, *plan.attackers, plan.victim, plan.ell)} == {int}
+    assert rank_of(_SIX_SCORES, i(3)) == rank_of(_SIX_SCORES, 3)
+
+
+def test_degrees_are_exact_int64_sums():
+    """Degrees sum the int64 multiplicities exactly, up to the int64 total."""
+    g = DirectedMultigraph.from_edges(3, {(0, 1): 2**60 + 1, (0, 2): 1})
+    assert g.out_degree(0) == 2**60 + 2
+    assert g.in_degrees().tolist() == [0, 2**60 + 1, 1]
+    top = DirectedMultigraph.from_edges(3, {(0, 1): 2**62, (2, 1): 2**62 - 1})
+    assert top.edge_count == top.in_degrees()[1] == 2**63 - 1
+    assert top.out_degrees().tolist() == [2**62, 0, 2**62 - 1]
 
 
 @st.composite
@@ -349,6 +418,8 @@ def test_bad_edges_rejected_by_both(cls, edges):
         ("# nodes 0\n", r"^line 1: node count must be >= 1"),
         ("0 99999999999999999999999\n", r"^line 1: field out of range"),
         ("# nodes 4\n0 1\n# nodes 5\n", r"^line 3: '# nodes 5' conflicts with '# nodes 4' on line 1"),
+        (f"0 1 {2**62}\n0 1 {2**62}\n1 2\n", rf"^line 2: total edge multiplicity exceeds {2**63 - 1}$"),
+        ("0 1 999999999999999999\n" * 10, rf"^line 10: total edge multiplicity exceeds {2**63 - 1}$"),
     ],
 )
 def test_edgelist_errors_name_the_line(text, message):
