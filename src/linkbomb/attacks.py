@@ -158,6 +158,8 @@ def enumerate_alternative_attacks(
     non-self targets (duplicates accumulate as multiplicity).
     Deterministic given the seed.
     """
+    [budget] = _integers("budget", [budget])
+    [count] = _integers("count", [count])
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     if count < 1:

@@ -26,7 +26,7 @@ from .experiment import (
 )
 from .flow import FlowQuery, flow_fraction, flow_fraction_bruteforce
 from .generators import MODELS, GeneratorConfig, generate
-from .graph import load_edgelist, save_edgelist
+from .graph import _rewrite, load_edgelist, save_edgelist
 from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, compute_pagerank
 
 
@@ -34,13 +34,8 @@ def _node_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-@contextlib.contextmanager
 def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+    return contextlib.nullcontext(sys.stdout) if path is None else _rewrite(path)
 
 
 def _csv_out(fh, header, rows):

@@ -108,6 +108,7 @@ def candidate_set(g: DirectedMultigraph, victim: int, ell: int) -> set[int]:
     These are the only nodes worth linking to under a distance->= ell
     disguise constraint. May be empty; callers treat that as infeasible.
     """
+    [ell] = _integers("ell", [ell])
     if ell < 1:
         raise ValueError(f"ell must be >= 1, got {ell}")
     dist = g.distances_to(victim)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .attacks import apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
+from .graph import _integers, _rewrite
 from .pagerank import (
     MAX_ITERATIONS,
     TOLERANCE,
@@ -331,6 +332,7 @@ def _std(values: np.ndarray) -> float:
 
 def pagerank_histogram(prv: PageRankVector, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram of the scores over [min, max]; counts sum to N."""
+    [bins] = _integers("bins", [bins])
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     scores = prv.scores
@@ -374,7 +376,7 @@ def trials_rows(records: list[TrialRecord]):
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRIALS_COLUMNS)
         for row in trials_rows(records):
@@ -382,7 +384,7 @@ def write_trials_csv(records: list[TrialRecord], path) -> None:
 
 
 def write_summary_csv(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(SUMMARY_COLUMNS)
         for row in summarize(cfg, records):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph, _coalesce
+from .graph import DirectedMultigraph, _coalesce, _integers
 
 __all__ = ["GeneratorConfig", "generate", "gen_er", "gen_ba", "gen_mwdta"]
 
@@ -64,6 +64,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        for name in ("n", "m", "d_max"):
+            _integers(name, [getattr(self, name)])
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:

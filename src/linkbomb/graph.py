@@ -9,8 +9,11 @@ instances can be shared freely between concurrent workers.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import stat
 from collections.abc import Iterator, Mapping, Sized
 from pathlib import Path
 
@@ -541,8 +544,32 @@ def _parse_lines(text: str):
     return declared, cols[:, 0], cols[:, 1], cols[:, 2], np.array(linenos, dtype=np.int64)
 
 
+@contextlib.contextmanager
+def _rewrite(path):
+    """A text handle (newline="") that writes `path` over its old bytes:
+    the one way the package writes a file.
+
+    The file is opened without O_TRUNC, since on ext4 truncating a file
+    written moments before to zero blocks for 40-65 ms while its data is
+    flushed. On exit, normal or not, the handle is flushed and a regular
+    file is cut at the current offset, so it holds exactly the bytes
+    written; character devices, pipes and FIFOs are left as they are. An
+    existing file keeps its inode, mode and links, and a symlink is
+    written through.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "w", newline="") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def save_edgelist(g: DirectedMultigraph, path) -> None:
-    Path(path).write_text(dumps_edgelist(g))
+    with _rewrite(path) as fh:
+        fh.write(dumps_edgelist(g))
 
 
 def load_edgelist(path) -> DirectedMultigraph:

@@ -1,5 +1,7 @@
 import csv
 import gc
+import os
+import stat
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from linkbomb import (
     rank_of,
     save_edgelist,
 )
+import linkbomb.graph
 from linkbomb.cli import build_parser, main
 
 
@@ -249,3 +252,51 @@ def test_cli_call_leaves_no_cyclic_garbage(tmp_path):
     gc.collect()
     main(argv)
     assert gc.collect() == 0
+
+
+def _hist_to(graph_file, out):
+    main(["hist", "--graph", str(graph_file), "--alpha", "0.85", "--bins", "3", "--out", str(out)])
+
+
+def test_out_rewrites_a_longer_file_to_exactly_the_new_bytes(graph_file, tmp_path):
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    out.write_bytes(b"x" * 200_000)
+    _hist_to(graph_file, fresh)
+    _hist_to(graph_file, out)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert len(fresh.read_text().splitlines()) == 1 + 3
+
+
+def test_out_keeps_links_inode_and_mode(graph_file, tmp_path):
+    """Like open(path, "w"): a symlink is written through, a hard link sees
+    the new bytes, and the file keeps its inode and mode."""
+    fresh, target, hard, link = (tmp_path / name for name in ("fresh.csv", "t.csv", "hard.csv", "link.csv"))
+    target.write_bytes(b"x" * 200_000)
+    target.chmod(0o600)
+    os.link(target, hard)
+    link.symlink_to(target)
+    inode = target.stat().st_ino
+    _hist_to(graph_file, fresh)
+    _hist_to(graph_file, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == hard.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_out_to_dev_null(graph_file):
+    _hist_to(graph_file, os.devnull)
+
+
+def test_no_write_path_truncates_to_zero(graph_file, tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+    monkeypatch.setattr(linkbomb.graph.os, "open", lambda path, fl, *a: flags.append(fl) or real_open(path, fl, *a))
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    out.write_bytes(b"x" * 200_000)
+    argv = ["pagerank", "--graph", str(graph_file), "--alpha", "0.85", "--out"]
+    main([*argv, str(out)])
+    main([*argv, str(out)])
+    main([*argv, str(fresh)])
+    assert len(flags) == 3 and not any(fl & os.O_TRUNC for fl in flags)
+    assert out.read_bytes() == fresh.read_bytes()

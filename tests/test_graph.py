@@ -14,6 +14,7 @@ from linkbomb import (
     PageRankConfig,
     apply_attack,
     build_pattern,
+    candidate_set,
     compute_pagerank,
     dumps_edgelist,
     enumerate_alternative_attacks,
@@ -22,7 +23,9 @@ from linkbomb import (
     loads_edgelist,
     optimal_disguised_joint,
     optimal_link_farm,
+    pagerank_histogram,
     rank_of,
+    save_edgelist,
 )
 from linkbomb.disguise import _staged
 from linkbomb.graph import MAX_NODES, _coalesce
@@ -291,14 +294,22 @@ _INTEGER_SITES = {
     "farm member": ("node id", lambda x: optimal_link_farm(_SIX, [0, x, 5], 0, 0.85)),
     "rank_of": ("node id", lambda x: rank_of(_SIX_SCORES, x)),
     "joint ell": ("ell", lambda x: optimal_disguised_joint(_SIX, [4], 0, x, 0.85)),
+    "shell ell": ("ell", lambda x: candidate_set(_SIX, 0, x)),
+    "enumerate budget": ("budget", lambda x: enumerate_alternative_attacks(_SIX, [4], 0, x, 3, 1)),
+    "enumerate count": ("count", lambda x: enumerate_alternative_attacks(_SIX, [4], 0, 2, x, 1)),
+    "generator n": ("n", lambda x: GeneratorConfig("random", x)),
+    "generator m": ("m", lambda x: GeneratorConfig("ba", 10, m=x)),
+    "generator d_max": ("d_max", lambda x: GeneratorConfig("mwdta", 10, d_max=x)),
+    "histogram bins": ("bins", lambda x: pagerank_histogram(_SIX_SCORES, x)),
 }
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("site", list(_INTEGER_SITES))
 def test_integer_rule_refuses_what_int_would_truncate(site, bad):
-    """Every entry point that takes node ids, multiplicities or ell refuses
-    floats, bools and strings with a ValueError instead of coercing them."""
+    """Every entry point that takes node ids, multiplicities or counts
+    refuses floats, bools and strings with a ValueError naming the field
+    instead of coercing them."""
     what, call = _INTEGER_SITES[site]
     with pytest.raises(ValueError, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$"):
         call(bad)
@@ -703,3 +714,23 @@ def test_load_edgelist_parses_through_the_module_function(tmp_path, monkeypatch)
     path.write_text("# nodes 3\n0 1\n")
     assert load_edgelist(path) == DirectedMultigraph(3).add_edge(0, 1)
     assert seen == ["# nodes 3\n0 1\n"]
+
+
+# ---- the in-place writer ------------------------------------------------------
+
+
+def test_save_edgelist_rewrites_a_longer_file(tmp_path):
+    path = tmp_path / "g.el"
+    path.write_bytes(b"9 8 7\n" * 40_000)
+    save_edgelist(_SIX, path)
+    assert path.read_bytes() == dumps_edgelist(_SIX).encode()
+
+
+def test_rewrite_cut_short_by_an_exception_keeps_no_old_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old,tail\n" * 20_000)
+    with pytest.raises(RuntimeError, match="part-way"):
+        with linkbomb.graph._rewrite(path) as fh:
+            fh.write("node,score\n0,")
+            raise RuntimeError("part-way")
+    assert path.read_bytes() == b"node,score\n0,"
