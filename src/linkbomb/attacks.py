@@ -24,6 +24,9 @@ __all__ = [
     "enumerate_alternative_attacks",
 ]
 
+PATTERNS = ("individual", "star", "tree", "cycle", "complete")  # the shapes build_pattern makes
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Attackers, victim, and the out-edges each attacker will end up with.
@@ -44,7 +47,7 @@ class AttackSpec:
         object.__setattr__(self, "attackers", tuple(attackers))
         object.__setattr__(self, "victim", victim)
         _integers("node id", [*self.assignment, *(h for t in self.assignment.values() for h in t)])
-        _integers("edge multiplicity", [m for t in self.assignment.values() for m in t.values()])
+        _integers("edge multiplicity", [m for t in self.assignment.values() for m in t.values()], 1)
         if not self.attackers:
             raise ValueError("attack needs at least one attacker")
         if len(set(self.attackers)) != len(self.attackers):
@@ -53,11 +56,8 @@ class AttackSpec:
         for a, targets in self.assignment.items():
             if a not in attacker_set:
                 raise ValueError(f"assignment for non-attacker node {a}")
-            for head, mult in targets.items():
-                if head == a:
-                    raise ValueError(f"assignment contains self-loop ({a}, {head})")
-                if mult < 1:
-                    raise ValueError(f"edge multiplicity must be >= 1, got {mult}")
+            if a in targets:
+                raise ValueError(f"assignment contains self-loop ({a}, {a})")
 
 
 @dataclass
@@ -109,7 +109,7 @@ def build_pattern(pattern: str, attackers, victim: int) -> AttackSpec:
                     targets[b] = 1
             assignment[a] = targets
     else:
-        raise ValueError(f"unknown pattern {pattern!r}")
+        raise ValueError(f"unknown pattern {pattern!r}, expected one of {PATTERNS}")
     return AttackSpec(attackers=attackers, victim=victim, assignment=assignment)
 
 
@@ -158,12 +158,9 @@ def enumerate_alternative_attacks(
     non-self targets (duplicates accumulate as multiplicity).
     Deterministic given the seed.
     """
-    [budget] = _integers("budget", [budget])
-    [count] = _integers("count", [count])
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    [budget] = _integers("budget", [budget], 1)
+    [count] = _integers("count", [count], 1)
+    [seed] = _integers("seed", [seed], 0)
     n = g.node_count
     *attackers, victim = _node_ids(n, (*attackers, victim))
     specs = [build_pattern("individual", attackers, victim)]

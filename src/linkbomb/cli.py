@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import attack_magnitude, build_pattern
+from .attacks import PATTERNS, attack_magnitude, build_pattern
 from .disguise import optimal_disguised_joint, optimal_link_farm
 from .experiment import (
     pagerank_histogram,
@@ -193,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--victim", type=int, required=True)
     p.add_argument("--attackers", required=True, help="comma-separated attacker ids")
-    p.add_argument("--pattern", required=True,
-                   choices=["individual", "star", "tree", "cycle", "complete"])
+    p.add_argument("--pattern", required=True, choices=PATTERNS)
     _add_solver_opts(p)
     p.set_defaults(func=_cmd_attack)
 

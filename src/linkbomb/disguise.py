@@ -48,8 +48,8 @@ import numpy as np
 
 from .attacks import AttackResult, AttackSpec, _result, apply_attack
 from .flow import _absorbing_values
-from .graph import DirectedMultigraph, _integers, _node_ids
-from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, _check_alpha, _stacked_pageranks
+from .graph import DirectedMultigraph, _integers, _node_ids, _reals
+from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, _stacked_pageranks
 
 __all__ = [
     "ForwardValueMap",
@@ -97,7 +97,7 @@ def forward_values(
     max_iterations: int = MAX_ITERATIONS,
 ) -> ForwardValueMap:
     [target] = _node_ids(g.node_count, [target])
-    _check_alpha(alpha)
+    _reals("alpha", [alpha], 0, 1)
     h, resid, _it = _absorbing_values(g, (target,), frozenset(), alpha, tolerance, max_iterations)
     return ForwardValueMap(target=target, values=h, alpha=alpha, residual=resid)
 
@@ -108,9 +108,7 @@ def candidate_set(g: DirectedMultigraph, victim: int, ell: int) -> set[int]:
     These are the only nodes worth linking to under a distance->= ell
     disguise constraint. May be empty; callers treat that as infeasible.
     """
-    [ell] = _integers("ell", [ell])
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    [ell] = _integers("ell", [ell], 1)
     dist = g.distances_to(victim)
     want = ell - 1
     return {u for u, d in enumerate(dist) if d == want}

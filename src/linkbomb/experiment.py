@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import apply_attack, build_pattern
+from .attacks import PATTERNS, apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
-from .graph import _integers, _rewrite
+from .graph import _integers, _reals, _rewrite
 from .pagerank import (
     MAX_ITERATIONS,
     TOLERANCE,
@@ -110,8 +110,10 @@ class SelectionRule:
     def __post_init__(self):
         if self.mode not in ("uniform", "quantile"):
             raise ValueError(f"selection mode must be uniform or quantile, got {self.mode!r}")
-        if not 0.0 <= self.lo < self.hi <= 1.0:
-            raise ValueError(f"need 0 <= lo < hi <= 1, got lo={self.lo}, hi={self.hi}")
+        _reals("lo", [self.lo], 0, 1)
+        _reals("hi", [self.hi], 0, 1)
+        if not self.lo < self.hi:
+            raise ValueError(f"need lo < hi, got lo={self.lo}, hi={self.hi}")
 
     @classmethod
     def parse(cls, text: str) -> "SelectionRule":
@@ -143,25 +145,26 @@ class ExperimentConfig:
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "alphas", tuple(_reals("alphas", self.alphas, 0, 1, "[)")))
         object.__setattr__(self, "attacks", tuple(self.attacks))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.n_attackers < 1:
-            raise ValueError(f"n_attackers must be >= 1, got {self.n_attackers}")
+        _integers("trials", [self.trials], 1)
+        _integers("n_attackers", [self.n_attackers], 1)
+        _integers("master_seed", [self.master_seed], 0)
         if self.n_attackers + 1 > self.generator.n:
             raise ValueError(
                 f"need n_attackers + 1 <= n, got {self.n_attackers} attackers on {self.generator.n} nodes"
             )
         if not self.alphas:
             raise ValueError("alpha sweep must not be empty")
-        for a in self.alphas:
-            if not 0.0 <= a < 1.0:
-                raise ValueError(f"sweep alphas must satisfy 0 <= alpha < 1, got {a}")
+        # A repeat would merge its summary cells and solve its graphs twice.
+        for name, values in (("alphas", self.alphas), ("attacks", self.attacks)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct, got {values}")
+        unknown = [a for a in self.attacks if a not in PATTERNS]
+        if unknown:
+            raise ValueError(f"unknown attack {unknown[0]!r}, expected one of {PATTERNS}")
         if "individual" not in self.attacks:
             raise ValueError("attack list must include 'individual' (discrepancy baseline)")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         _check_limits(self.tolerance, self.max_iterations)
 
 
@@ -332,9 +335,7 @@ def _std(values: np.ndarray) -> float:
 
 def pagerank_histogram(prv: PageRankVector, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram of the scores over [min, max]; counts sum to N."""
-    [bins] = _integers("bins", [bins])
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+    [bins] = _integers("bins", [bins], 1)
     scores = prv.scores
     counts, edges = np.histogram(scores, bins=bins, range=(float(scores.min()), float(scores.max())))
     return counts, edges

@@ -19,12 +19,13 @@ so the map x <- alpha * (R @ x) + 1_pinned holds them at 1 and 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph, _node_ids, _peel
-from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_alpha, _check_limits, _emptied, _iterate
+from .graph import DirectedMultigraph, _integers, _node_ids, _peel, _reals
+from .pagerank import MAX_ITERATIONS, TOLERANCE, ConvergenceError, _check_limits, _emptied, _iterate
 
 __all__ = [
     "FlowQuery",
@@ -51,7 +52,7 @@ class FlowQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "excluded", frozenset(self.excluded))
-        _check_alpha(self.alpha)
+        _reals("alpha", [self.alpha], 0, 1)
 
 
 @dataclass
@@ -134,8 +135,7 @@ def flow_fraction_bruteforce(g: DirectedMultigraph, q: FlowQuery, max_len: int) 
     alpha^(max_len+1) / (1 - alpha). Intended for small graphs only.
     """
     source, target, *_ = _node_ids(g.node_count, (q.source, q.target, *q.excluded))
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    [max_len] = _integers("max_len", [max_len], 1)
     alpha = q.alpha
     if alpha >= 1.0:
         if _has_cycle(g):
@@ -180,10 +180,8 @@ def attack_magnitude_formula(delta: float, gamma_v0: float, rho_v0vi: float, p_i
 
     sums the full feedback series and is monotone in delta.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if p_i <= 0:
-        raise ValueError(f"p_i must be positive, got {p_i}")
+    _reals("delta", [delta], 0, math.inf, "[)")
+    _reals("p_i", [p_i], 0, math.inf, "()")
     denom = 1.0 - gamma_v0 - rho_v0vi * delta / p_i
     if denom <= 0:
         raise ValueError(f"feedback factor must stay below 1 (denominator {denom:.3e})")

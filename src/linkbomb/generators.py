@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DirectedMultigraph, _coalesce, _integers
+from .graph import DirectedMultigraph, _coalesce, _integers, _reals
 
 __all__ = ["GeneratorConfig", "generate", "gen_er", "gen_ba", "gen_mwdta"]
 
@@ -64,23 +64,13 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        for name in ("n", "m", "d_max"):
-            _integers(name, [getattr(self, name)])
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if not self.tau > 1.0:
-            raise ValueError(f"tau must be > 1, got {self.tau}")
-        if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        target = self.target_expected_edges
-        if target is not None and not (target > 0 and math.isfinite(target)):
-            raise ValueError(f"target_expected_edges must be positive and finite, got {target}")
+        for name, lo in (("n", 1), ("m", 1), ("d_max", 1), ("seed", 0)):
+            _integers(name, [getattr(self, name)], lo)
+        _reals("p", [self.p], 0, 1)
+        _reals("beta", [self.beta], 0, 1)
+        _reals("tau", [self.tau], 1, math.inf, "()")
+        if self.target_expected_edges is not None:
+            _reals("target_expected_edges", [self.target_expected_edges], 0, math.inf, "()")
 
 
 def generate(cfg: GeneratorConfig) -> DirectedMultigraph:

@@ -30,19 +30,47 @@ __all__ = [
 ]
 
 
-def _integers(what: str, values) -> list[int]:
+def _integers(what: str, values, lo: int | None = None) -> list[int]:
     """`values` as Python ints: the one integer rule for node ids,
-    multiplicities and counts that come from outside. Each value must be an
-    int or a numpy integer; a bool, float, string or anything else fails
-    with a ValueError naming `what` rather than being truncated. The type
-    test runs once per distinct type, not once per value, and a batch of
-    plain ints is returned without a copy per value."""
+    multiplicities, counts and seeds that come from outside. Each value must
+    be an int or a numpy integer; a bool, float, string or anything else
+    fails with a ValueError naming `what` rather than being truncated. With
+    an inclusive lower bound `lo`, the smallest value below it fails too.
+    The type test runs once per distinct type, not once per value, and a
+    batch of plain ints is returned without a copy per value."""
     values = list(values)
     types = set(map(type, values))
     for t in types:
         if t is bool or not issubclass(t, (int, np.integer)):
             raise ValueError(f"{what} must be an integer, got {next(x for x in values if type(x) is t)!r}")
-    return values if types <= {int} else list(map(int, values))
+    values = values if types <= {int} else list(map(int, values))
+    if lo is not None and min(values, default=lo) < lo:
+        raise ValueError(f"{what} must be >= {lo}, got {min(values)}")
+    return values
+
+
+def _reals(what: str, values, lo: float, hi: float, closed: str = "[]") -> list[float]:
+    """`values` as Python floats: the one rule for real parameters from
+    outside, such as alpha, tolerances and probabilities. Each value must
+    be an int, a float, a numpy integer or a numpy float, and lie between
+    `lo` and `hi`, each end closed ("[", "]") or open ("(", ")") as
+    `closed` spells it. A bool, a string, anything else, and a value out of
+    range fail with a ValueError naming `what`; NaN fails every
+    comparison, so it is never in range."""
+    out = []
+    for v in values:
+        if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{what} must be a real number, got {v!r}")
+        try:
+            x = float(v)
+        except OverflowError:  # an int past the float range lies in no interval
+            x = math.nan
+        above = lo <= x if closed[0] == "[" else lo < x
+        below = x <= hi if closed[1] == "]" else x < hi
+        if not (above and below):
+            raise ValueError(f"{what} must be in {closed[0]}{lo}, {hi}{closed[1]}, got {v}")
+        out.append(x)
+    return out
 
 
 def _node_ids(n: int, values) -> list[int]:
@@ -210,9 +238,7 @@ class DirectedMultigraph:
     def __init__(self, node_count: int, _csr=None):
         """Empty graph on node_count nodes; `_csr` (internal) passes
         validated (indptr, heads, mult) arrays to adopt instead."""
-        [self._n] = _integers("node count", [node_count])
-        if self._n < 1:
-            raise ValueError(f"node count must be >= 1, got {self._n}")
+        [self._n] = _integers("node count", [node_count], 1)
         if _csr is None:
             _csr = (np.zeros(self._n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         for a in _csr:

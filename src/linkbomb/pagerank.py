@@ -53,12 +53,13 @@ it too, as a single block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import DirectedMultigraph, _entries, _integers, _node_ids
+from .graph import DirectedMultigraph, _entries, _integers, _node_ids, _reals
 
 __all__ = [
     "MAX_ITERATIONS",
@@ -78,19 +79,12 @@ MAX_ITERATIONS = 100_000  # default iteration cap of every solve, in the library
 TOLERANCE = 1e-12  # default max-norm tolerance of every solve, in the library and the CLI
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-
-
 def _check_limits(tolerance: float, max_iterations: int) -> None:
-    """A solve's stopping rule: a positive tolerance (NaN never compares as
-    met, so it is refused here) and an integer iteration cap >= 1."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    _integers("max_iterations", [max_iterations])
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    """A solve's stopping rule: a finite positive tolerance (a NaN one is
+    never met, and at inf the start vector passes as converged) and an
+    integer iteration cap >= 1."""
+    _reals("tolerance", [tolerance], 0, math.inf, "()")
+    _integers("max_iterations", [max_iterations], 1)
 
 
 class ConvergenceError(RuntimeError):
@@ -108,7 +102,7 @@ class PageRankConfig:
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        _reals("alpha", [self.alpha], 0, 1)
         _check_limits(self.tolerance, self.max_iterations)
 
 
@@ -340,9 +334,8 @@ def closed_form_isolated(pattern: str, k: int, alpha: float) -> float:
         cycle:       p0 * (1 + alpha*k / (2 - alpha))
         complete:    p0 * (1 + alpha*k / (k*(1-alpha) + alpha))
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_alpha(alpha)
+    [k] = _integers("k", [k], 1)
+    _reals("alpha", [alpha], 0, 1)
     p0 = (1.0 - alpha) / (k + 1)
     if pattern == "individual":
         return p0 * (1.0 + alpha * k)

@@ -94,7 +94,7 @@ def test_flow_rejects_a_nan_tolerance(tmp_path):
     path = tmp_path / "path.el"
     save_edgelist(DirectedMultigraph.from_edges(3, [(1, 2), (2, 0)]), path)
     args = ["flow", "--graph", str(path), "--alpha", "0.85", "--source", "1", "--target", "0"]
-    with pytest.raises(ValueError, match="tolerance must be positive, got nan"):
+    with pytest.raises(ValueError, match=r"tolerance must be in \(0, inf\), got nan"):
         main(args + ["--tol", "nan", "--max-iter", "50"])
 
 

@@ -244,11 +244,26 @@ def test_experiment_config_validation():
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"alphas": (0.85, 0.85)}, r"^alphas must be distinct, got \(0.85, 0.85\)$"),
+        ({"attacks": ("individual", "individual", "cycle")}, r"^attacks must be distinct, got \('individual', 'individual', 'cycle'\)$"),
+        ({"attacks": ("individual", "bogus")}, r"^unknown attack 'bogus', expected one of \('individual', 'star', 'tree', 'cycle', 'complete'\)$"),
+    ],
+)
+def test_experiment_config_refuses_repeated_and_unknown_sweep_entries(kwargs, message):
+    # a repeat would merge summary cells and solve its graphs twice; an unknown
+    # attack would fail only inside run_trial, after a graph was generated
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(generator=GeneratorConfig("random", 20, p=0.1), n_attackers=3, **kwargs)
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("max_iterations", 0, "max_iterations must be >= 1, got 0"),
-        ("tolerance", -1.0, "tolerance must be positive, got -1.0"),
-        ("tolerance", float("nan"), "tolerance must be positive, got nan"),
+        ("tolerance", -1.0, r"tolerance must be in \(0, inf\), got -1.0"),
+        ("tolerance", float("nan"), r"tolerance must be in \(0, inf\), got nan"),
         ("master_seed", -1, "master_seed must be >= 0, got -1"),
     ],
 )
@@ -317,7 +332,7 @@ def experiment_configs(draw):
     others = draw(st.lists(st.sampled_from(["star", "tree", "cycle", "complete"]), unique=True))
     return ExperimentConfig(
         generator=gen,
-        alphas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4))),
+        alphas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4, unique=True))),
         trials=draw(st.integers(1, 10**4)),
         n_attackers=draw(st.integers(1, n - 1)),
         attacks=tuple(draw(st.permutations(["individual", *others]))),

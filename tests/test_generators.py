@@ -198,10 +198,10 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"target_expected_edges": float("nan")}, "target_expected_edges must be positive and finite, got nan"),
-        ({"target_expected_edges": float("inf")}, "target_expected_edges must be positive and finite, got inf"),
-        ({"target_expected_edges": 0.0}, "target_expected_edges must be positive and finite, got 0.0"),
-        ({"tau": float("nan")}, "tau must be > 1, got nan"),
+        ({"target_expected_edges": float("nan")}, r"target_expected_edges must be in \(0, inf\), got nan"),
+        ({"target_expected_edges": float("inf")}, r"target_expected_edges must be in \(0, inf\), got inf"),
+        ({"target_expected_edges": 0.0}, r"target_expected_edges must be in \(0, inf\), got 0.0"),
+        ({"tau": float("nan")}, r"tau must be in \(1, inf\), got nan"),
     ],
 )
 def test_config_rejects_nan_and_infinite_inputs(kwargs, message):

@@ -10,14 +10,22 @@ import linkbomb.graph
 from linkbomb import (
     AttackSpec,
     DirectedMultigraph,
+    ExperimentConfig,
+    FlowQuery,
     GeneratorConfig,
     PageRankConfig,
+    SelectionRule,
     apply_attack,
+    attack_magnitude_formula,
     build_pattern,
     candidate_set,
+    closed_form_isolated,
     compute_pagerank,
     dumps_edgelist,
     enumerate_alternative_attacks,
+    flow_fraction,
+    flow_fraction_bruteforce,
+    forward_values,
     generate,
     load_edgelist,
     loads_edgelist,
@@ -278,6 +286,7 @@ def test_malformed_edges_are_rejected(build, message):
 # victim 0; nodes 1 and 2 link to it, 3 and 4 sit one hop further out, 5 two
 _SIX = DirectedMultigraph.from_edges(6, [(1, 0), (2, 0), (3, 1), (4, 2), (5, 3)])
 _SIX_SCORES = compute_pagerank(_SIX, PageRankConfig(0.85))
+_GEN = GeneratorConfig("random", 20)
 
 # Entry point -> (what the message names, a call taking the bad value).
 _INTEGER_SITES = {
@@ -301,6 +310,14 @@ _INTEGER_SITES = {
     "generator m": ("m", lambda x: GeneratorConfig("ba", 10, m=x)),
     "generator d_max": ("d_max", lambda x: GeneratorConfig("mwdta", 10, d_max=x)),
     "histogram bins": ("bins", lambda x: pagerank_histogram(_SIX_SCORES, x)),
+    "generator seed": ("seed", lambda x: GeneratorConfig("random", 10, seed=x)),
+    "enumerate seed": ("seed", lambda x: enumerate_alternative_attacks(_SIX, [4], 0, 2, 3, x)),
+    "master_seed": ("master_seed", lambda x: ExperimentConfig(_GEN, master_seed=x)),
+    "trials": ("trials", lambda x: ExperimentConfig(_GEN, trials=x)),
+    "n_attackers": ("n_attackers", lambda x: ExperimentConfig(_GEN, n_attackers=x)),
+    "closed form k": ("k", lambda x: closed_form_isolated("individual", x, 0.5)),
+    "oracle max_len": ("max_len", lambda x: flow_fraction_bruteforce(_SIX, FlowQuery(5, 0), x)),
+    "max_iterations": ("max_iterations", lambda x: PageRankConfig(0.85, 1e-12, x)),
 }
 
 
@@ -313,6 +330,55 @@ def test_integer_rule_refuses_what_int_would_truncate(site, bad):
     what, call = _INTEGER_SITES[site]
     with pytest.raises(ValueError, match=f"^{what} must be an integer, got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+# Each real parameter from outside, once per entry point, with the name its
+# error gives.
+_REAL_SITES = {
+    "config alpha": ("alpha", lambda x: PageRankConfig(x)),
+    "query alpha": ("alpha", lambda x: FlowQuery(5, 0, alpha=x)),
+    "forward alpha": ("alpha", lambda x: forward_values(_SIX, 0, x)),
+    "closed form alpha": ("alpha", lambda x: closed_form_isolated("individual", 2, x)),
+    "config tolerance": ("tolerance", lambda x: PageRankConfig(0.85, x)),
+    "flow tolerance": ("tolerance", lambda x: flow_fraction(_SIX, FlowQuery(5, 0), x)),
+    "formula delta": ("delta", lambda x: attack_magnitude_formula(x, 0.0, 0.0, 0.1)),
+    "formula p_i": ("p_i", lambda x: attack_magnitude_formula(0.01, 0.0, 0.0, x)),
+    "generator p": ("p", lambda x: GeneratorConfig("random", 10, p=x)),
+    "generator beta": ("beta", lambda x: GeneratorConfig("mwdta", 10, beta=x)),
+    "generator tau": ("tau", lambda x: GeneratorConfig("mwdta", 10, tau=x)),
+    "generator target": ("target_expected_edges", lambda x: GeneratorConfig("mwdta", 10, target_expected_edges=x)),
+    "selection lo": ("lo", lambda x: SelectionRule("quantile", x, 1.0)),
+    "selection hi": ("hi", lambda x: SelectionRule("quantile", 0.0, x)),
+    "sweep alphas": ("alphas", lambda x: ExperimentConfig(_GEN, alphas=(0.5, x))),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", float("nan")], ids=["bool", "str", "nan"])
+@pytest.mark.parametrize("site", list(_REAL_SITES))
+def test_real_rule_refuses_bools_strings_and_nan(site, bad):
+    """Every entry point that takes a real parameter refuses a bool or a
+    string as not a number, and NaN as outside any interval, with a
+    ValueError naming the field."""
+    what, call = _REAL_SITES[site]
+    expected = r"in [\[(].*, got nan" if bad != bad else f"a real number, got {re.escape(repr(bad))}"
+    with pytest.raises(ValueError, match=f"^{what} must be {expected}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GeneratorConfig("random", 10, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: enumerate_alternative_attacks(_SIX, [4], 0, 2, 3, -1), "seed must be >= 0, got -1"),
+        (lambda: PageRankConfig(0.85, float("inf")), r"tolerance must be in \(0, inf\), got inf"),
+        (lambda: SelectionRule("quantile", 0.5, 1.5), r"hi must be in \[0, 1\], got 1.5"),
+        (lambda: ExperimentConfig(_GEN, alphas=(1.0,)), r"alphas must be in \[0, 1\), got 1.0"),
+        (lambda: GeneratorConfig("mwdta", 10, tau=10**400), r"tau must be in \(1, inf\), got 10+"),  # past float range
+    ],
+)
+def test_number_rule_bounds(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_numpy_integer_ids_match_python_ints():

@@ -207,8 +207,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "limits, message",
     [
-        ((float("nan"), 50), "tolerance must be positive, got nan"),
-        ((-1.0, 50), "tolerance must be positive, got -1.0"),
+        ((float("nan"), 50), r"tolerance must be in \(0, inf\), got nan"),
+        ((-1.0, 50), r"tolerance must be in \(0, inf\), got -1.0"),
         ((1e-12, 2.5), "max_iterations must be an integer, got 2.5"),
         ((1e-12, True), "max_iterations must be an integer, got True"),
     ],
