@@ -1,16 +1,14 @@
 """Command-line front end.
 
 Subcommands: gen, pagerank, flow, attack, disguise, farm, experiment,
-hist. All numeric output is CSV with a header row; files written with
-identical flags and seeds are byte-identical.
+hist. All numeric output is CSV with a header row, written by
+`graph._write_table`; files written with identical flags and seeds are
+byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import functools
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,24 +24,12 @@ from .experiment import (
 )
 from .flow import FlowQuery, flow_fraction, flow_fraction_bruteforce
 from .generators import MODELS, GeneratorConfig, generate
-from .graph import _rewrite, load_edgelist, save_edgelist
+from .graph import _write_table, load_edgelist, save_edgelist
 from .pagerank import MAX_ITERATIONS, TOLERANCE, PageRankConfig, compute_pagerank
 
 
 def _node_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _open_out(path: str | None):
-    return contextlib.nullcontext(sys.stdout) if path is None else _rewrite(path)
-
-
-def _csv_out(fh, header, rows):
-    """Rows of Python ints and floats; csv writes a float as its repr, the
-    same text as str of the float or of its np.float64."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
 
 
 def _cmd_gen(args):
@@ -61,89 +47,61 @@ def _cmd_gen(args):
     save_edgelist(generate(cfg), args.out)
 
 
-def _cmd_pagerank(args):
-    g = load_edgelist(args.graph)
-    prv = compute_pagerank(g, PageRankConfig(args.alpha, args.tol, args.max_iter))
-    # Competition rank, as rank_of: 1 + the number of strictly higher scores.
-    ranks = 1 + len(prv.scores) - np.searchsorted(np.sort(prv.scores), prv.scores, side="right")
-    rows = zip(range(g.node_count), prv.scores.tolist(), ranks.tolist())
-    with _open_out(args.out) as fh:
-        _csv_out(fh, ["node", "score", "rank"], rows)
-
-
-def _cmd_flow(args):
-    g = load_edgelist(args.graph)
-    excluded = frozenset(_node_list(args.exclude)) if args.exclude else frozenset()
-    q = FlowQuery(source=args.source, target=args.target, excluded=excluded, alpha=args.alpha)
-    exact = flow_fraction(g, q, args.tol, args.max_iter)
-    if args.oracle is None:
-        with _open_out(args.out) as fh:
-            _csv_out(fh, ["fraction"], [(exact.fraction,)])
-    else:
-        oracle = flow_fraction_bruteforce(g, q, args.oracle)
-        with _open_out(args.out) as fh:
-            _csv_out(
-                fh,
-                ["fraction", "oracle_fraction", "oracle_tail_bound"],
-                [(exact.fraction, oracle.fraction, oracle.tail_bound)],
-            )
-
-
-def _cmd_attack(args):
-    g = load_edgelist(args.graph)
-    spec = build_pattern(args.pattern, _node_list(args.attackers), args.victim)
-    res = attack_magnitude(g, spec, PageRankConfig(args.alpha, args.tol, args.max_iter))
-    with _open_out(args.out) as fh:
-        _csv_out(
-            fh,
-            ["victim_before", "victim_after", "magnitude", "rank_before", "rank_after"],
-            [(res.victim_before, res.victim_after, res.magnitude, res.rank_before, res.rank_after)],
-        )
-
-
-def _cmd_disguise(args):
-    g = load_edgelist(args.graph)
-    cfg = PageRankConfig(args.alpha, args.tol, args.max_iter)
-    plan = optimal_disguised_joint(g, _node_list(args.attackers), args.victim, args.ell, args.alpha, cfg)
-    res = plan.result
-    with _open_out(args.out) as fh:
-        _csv_out(
-            fh,
-            ["chosen_node", "magnitude", "rank_before", "rank_after"],
-            [(plan.chosen_node, res.magnitude, res.rank_before, res.rank_after)],
-        )
-
-
-def _cmd_farm(args):
-    g = load_edgelist(args.graph)
-    cfg = PageRankConfig(args.alpha, args.tol, args.max_iter)
-    spec = optimal_link_farm(g, _node_list(args.farm), args.target, args.alpha, cfg)
-    res = attack_magnitude(g, spec, cfg)
-    chosen = next(iter(spec.assignment[args.target]))
-    with _open_out(args.out) as fh:
-        _csv_out(
-            fh,
-            ["chosen_node", "magnitude", "rank_before", "rank_after"],
-            [(chosen, res.magnitude, res.rank_before, res.rank_after)],
-        )
-
-
 def _cmd_experiment(args):
     cfg = read_experiment_config(args.config)
+    records = run_experiment(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = run_experiment(cfg)
     write_trials_csv(records, out / "trials.csv")
     write_summary_csv(cfg, records, out / "summary.csv")
 
 
-def _cmd_hist(args):
-    g = load_edgelist(args.graph)
-    prv = compute_pagerank(g, PageRankConfig(args.alpha, args.tol, args.max_iter))
-    counts, edges = pagerank_histogram(prv, args.bins)
-    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
-    with _open_out(args.out) as fh:
-        _csv_out(fh, ["bin_lo", "bin_hi", "count"], rows)
+# The table commands take the --graph file and the PageRankConfig that `main`
+# builds, and return (header, rows) for `main` to write.
+
+
+def _cmd_pagerank(g, cfg, args):
+    prv = compute_pagerank(g, cfg)
+    # Competition rank, as rank_of: 1 + the number of strictly higher scores.
+    ranks = 1 + len(prv.scores) - np.searchsorted(np.sort(prv.scores), prv.scores, side="right")
+    return ["node", "score", "rank"], zip(range(g.node_count), prv.scores.tolist(), ranks.tolist())
+
+
+def _cmd_flow(g, cfg, args):
+    q = FlowQuery(source=args.source, target=args.target, excluded=args.exclude, alpha=args.alpha)
+    exact = flow_fraction(g, q, args.tol, args.max_iter)
+    if args.oracle is None:
+        return ["fraction"], [(exact.fraction,)]
+    oracle = flow_fraction_bruteforce(g, q, args.oracle)
+    header = ["fraction", "oracle_fraction", "oracle_tail_bound"]
+    return header, [(exact.fraction, oracle.fraction, oracle.tail_bound)]
+
+
+def _cmd_attack(g, cfg, args):
+    res = attack_magnitude(g, build_pattern(args.pattern, args.attackers, args.victim), cfg)
+    header = ["victim_before", "victim_after", "magnitude", "rank_before", "rank_after"]
+    return header, [(res.victim_before, res.victim_after, res.magnitude, res.rank_before, res.rank_after)]
+
+
+_PLAN_COLUMNS = ["chosen_node", "magnitude", "rank_before", "rank_after"]
+
+
+def _cmd_disguise(g, cfg, args):
+    plan = optimal_disguised_joint(g, args.attackers, args.victim, args.ell, args.alpha, cfg)
+    res = plan.result
+    return _PLAN_COLUMNS, [(plan.chosen_node, res.magnitude, res.rank_before, res.rank_after)]
+
+
+def _cmd_farm(g, cfg, args):
+    spec = optimal_link_farm(g, args.farm, args.target, args.alpha, cfg)
+    res = attack_magnitude(g, spec, cfg)
+    chosen = next(iter(spec.assignment[args.target]))
+    return _PLAN_COLUMNS, [(chosen, res.magnitude, res.rank_before, res.rank_after)]
+
+
+def _cmd_hist(g, cfg, args):
+    counts, edges = pagerank_histogram(compute_pagerank(g, cfg), args.bins)
+    return ["bin_lo", "bin_hi", "count"], zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
 
 
 def _add_solver_opts(p):
@@ -183,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
-    p.add_argument("--exclude", default="", help="comma-separated intermediates to forbid")
+    p.add_argument("--exclude", type=_node_list, default="", help="comma-separated intermediates to forbid")
     p.add_argument("--oracle", type=int, default=None, metavar="MAXLEN",
                    help="also run the walk-enumeration oracle up to MAXLEN")
     _add_solver_opts(p)
@@ -192,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="apply a canned attack pattern and measure it")
     p.add_argument("--graph", required=True)
     p.add_argument("--victim", type=int, required=True)
-    p.add_argument("--attackers", required=True, help="comma-separated attacker ids")
+    p.add_argument("--attackers", type=_node_list, required=True, help="comma-separated attacker ids")
     p.add_argument("--pattern", required=True, choices=PATTERNS)
     _add_solver_opts(p)
     p.set_defaults(func=_cmd_attack)
@@ -200,14 +158,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disguise", help="optimal joint disguised attack")
     p.add_argument("--graph", required=True)
     p.add_argument("--victim", type=int, required=True)
-    p.add_argument("--attackers", required=True)
+    p.add_argument("--attackers", type=_node_list, required=True)
     p.add_argument("--ell", type=int, required=True, help="minimum attacker-victim distance")
     _add_solver_opts(p)
     p.set_defaults(func=_cmd_disguise)
 
     p = sub.add_parser("farm", help="optimal link-farm configuration")
     p.add_argument("--graph", required=True)
-    p.add_argument("--farm", required=True, help="comma-separated farm node ids")
+    p.add_argument("--farm", type=_node_list, required=True, help="comma-separated farm node ids")
     p.add_argument("--target", type=int, required=True)
     _add_solver_opts(p)
     p.set_defaults(func=_cmd_farm)
@@ -228,7 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    if "alpha" not in args:  # gen and experiment write their own files
+        args.func(args)
+    else:
+        cfg = PageRankConfig(args.alpha, args.tol, args.max_iter)
+        _write_table(args.out, *args.func(load_edgelist(args.graph), cfg, args))
     return 0
 
 

@@ -21,7 +21,6 @@ are reused across the alpha sweep so alpha effects are paired.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 
 from .attacks import PATTERNS, apply_attack, build_pattern
 from .generators import GeneratorConfig, generate
-from .graph import _integers, _reals, _rewrite
+from .graph import _integers, _reals, _write_table
 from .pagerank import (
     MAX_ITERATIONS,
     TOLERANCE,
@@ -165,6 +164,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown attack {unknown[0]!r}, expected one of {PATTERNS}")
         if "individual" not in self.attacks:
             raise ValueError("attack list must include 'individual' (discrepancy baseline)")
+        if "cycle" in self.attacks and self.n_attackers == 1:
+            raise ValueError("cycle pattern needs at least 2 attackers")
         _check_limits(self.tolerance, self.max_iterations)
 
 
@@ -344,14 +345,6 @@ def pagerank_histogram(prv: PageRankVector, bins: int) -> tuple[np.ndarray, np.n
 # ---- CSV emission -------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    return str(x)
-
-
 def trials_rows(records: list[TrialRecord]):
     for r in records:
         for pattern, oc in r.outcomes.items():
@@ -372,24 +365,17 @@ def trials_rows(records: list[TrialRecord]):
                 oc.rank_after,
                 oc.discrepancy,
                 oc.norm_discrepancy,
-                oc.discrepancy_undefined,
+                int(oc.discrepancy_undefined),
             ]
 
 
 def write_trials_csv(records: list[TrialRecord], path) -> None:
-    with _rewrite(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRIALS_COLUMNS)
-        for row in trials_rows(records):
-            w.writerow([_fmt(x) for x in row])
+    _write_table(path, TRIALS_COLUMNS, trials_rows(records))
 
 
 def write_summary_csv(cfg: ExperimentConfig, records: list[TrialRecord], path) -> None:
-    with _rewrite(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_COLUMNS)
-        for row in summarize(cfg, records):
-            w.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    rows = summarize(cfg, records)
+    _write_table(path, SUMMARY_COLUMNS, ([row[c] for c in SUMMARY_COLUMNS] for row in rows))
 
 
 # ---- flat key-value config files ----------------------------------------------

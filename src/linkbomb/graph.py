@@ -10,10 +10,12 @@ instances can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import contextlib
+import csv
 import itertools
 import math
 import os
 import stat
+import sys
 from collections.abc import Iterator, Mapping, Sized
 from pathlib import Path
 
@@ -591,6 +593,17 @@ def _rewrite(path):
             fh.flush()
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def _write_table(path, header, rows) -> None:
+    """A CSV table, header row first, written through `_rewrite` to `path`,
+    or to stdout when `path` is None: the one way the package writes a
+    table. csv writes a float (an np.float64 too) as its repr, the same
+    text as its str, and None as an empty cell."""
+    with contextlib.nullcontext(sys.stdout) if path is None else _rewrite(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def save_edgelist(g: DirectedMultigraph, path) -> None:

@@ -98,6 +98,36 @@ def test_flow_rejects_a_nan_tolerance(tmp_path):
         main(args + ["--tol", "nan", "--max-iter", "50"])
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--attackers", ["attack", "--victim", "0", "--attackers", "1,x", "--pattern", "cycle"]),
+        ("--attackers", ["disguise", "--victim", "0", "--attackers", "1,x", "--ell", "2"]),
+        ("--farm", ["farm", "--farm", "1,x", "--target", "1"]),
+        ("--exclude", ["flow", "--source", "0", "--target", "1", "--exclude", "2,x"]),
+    ],
+)
+def test_bad_node_list_is_a_usage_error(graph_file, tmp_path, capsys, flag, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--graph", str(graph_file), "--alpha", "0.85", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_writes_nothing_when_the_run_fails(tmp_path):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "run"
+    cfg.write_text("model = random\nn = 25\np = 0.1\nn_attackers = 3\nmax_iterations = 1\n")
+    with pytest.raises(ConvergenceError):
+        main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    cfg.write_text("model = random\nn = 25\np = 0.1\nn_attackers = 1\n")
+    with pytest.raises(ValueError, match="cycle pattern needs at least 2 attackers"):
+        main(["experiment", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_flow_default_cap_matches_library(tmp_path):
     # walks from 1 to 0 circle 1 -> 2 -> 1 ~1000 times; at alpha = 0.999 the
     # absorbing solve needs more than 10000 iterations

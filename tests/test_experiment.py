@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 from pathlib import Path
 
@@ -50,18 +51,28 @@ def test_individual_discrepancy_is_exactly_one():
     assert rec.outcomes["individual"].norm_discrepancy == 0.0
 
 
-def test_alpha_zero_yields_flagged_nulls():
+def test_alpha_zero_yields_flagged_nulls(tmp_path):
     cfg = ExperimentConfig(
         generator=GeneratorConfig("random", 12, p=0.2),
         alphas=(0.0,),
         trials=1,
         n_attackers=3,
     )
-    rec = run_trial(cfg, 0)[0]
-    cyc = rec.outcomes["cycle"]
+    records = run_trial(cfg, 0)
+    cyc = records[0].outcomes["cycle"]
     assert cyc.magnitude == 0.0
     assert cyc.discrepancy is None
     assert cyc.discrepancy_undefined
+    # An undefined discrepancy is an empty cell; the flag is 1 or 0.
+    write_trials_csv(records, tmp_path / "trials.csv")
+    write_summary_csv(cfg, records, tmp_path / "summary.csv")
+    trials = {r["attack"]: r for r in csv.DictReader((tmp_path / "trials.csv").read_text().splitlines())}
+    assert (trials["cycle"]["discrepancy"], trials["cycle"]["discrepancy_undefined"]) == ("", "1")
+    assert trials["individual"]["discrepancy_undefined"] == "0"
+    summary = {r["attack"]: r for r in csv.DictReader((tmp_path / "summary.csv").read_text().splitlines())}
+    cycle = summary["cycle"]
+    assert (cycle["mean_discrepancy"], cycle["std_discrepancy"]) == ("", "")
+    assert cycle["undefined_discrepancies"] == str(cfg.trials)
 
 
 def test_gain_signs_match_magnitude():
@@ -258,6 +269,14 @@ def test_experiment_config_refuses_repeated_and_unknown_sweep_entries(kwargs, me
         ExperimentConfig(generator=GeneratorConfig("random", 20, p=0.1), n_attackers=3, **kwargs)
 
 
+def test_experiment_config_refuses_a_one_attacker_cycle():
+    # the default attack list holds cycle; each trial would fail inside
+    # run_trial, after its graph was generated
+    with pytest.raises(ValueError, match="^cycle pattern needs at least 2 attackers$"):
+        ExperimentConfig(GeneratorConfig("random", 50), n_attackers=1)
+    ExperimentConfig(GeneratorConfig("random", 50), n_attackers=1, attacks=("individual", "star", "complete"))
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -334,8 +353,9 @@ def experiment_configs(draw):
         generator=gen,
         alphas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4, unique=True))),
         trials=draw(st.integers(1, 10**4)),
-        n_attackers=draw(st.integers(1, n - 1)),
-        attacks=tuple(draw(st.permutations(["individual", *others]))),
+        n_attackers=(k := draw(st.integers(1, n - 1))),
+        # a cycle needs two attackers
+        attacks=tuple(draw(st.permutations(["individual", *(a for a in others if k > 1 or a != "cycle")]))),
         attacker_selection=draw(rules),
         victim_selection=draw(rules),
         master_seed=draw(st.integers(0, 2**64)),
